@@ -64,6 +64,7 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
         sys.stdout.write(canonical_json(doc))
     else:
         print("\n".join(text_lines))
+    sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,6 +355,11 @@ def main(argv=None) -> int:
         return handler(args)
     except ValueError as exc:  # domain violations (N < 1, p_max < 3, ...)
         print(f"torsion-gate {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at interpreter exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 
 from .exactmath import factorize, gcd, is_prime, primes_up_to
 from .hecke import criterion_vectors
-from .maninspace import SymbolSpace, build_space, quotient_rank_mod_p
+from .maninspace import FreeVector, SymbolSpace, build_space, quotient_rank_mod_p
 
 __all__ = [
     "ConditionEvidence",
@@ -299,19 +299,25 @@ class GateReport:
 
 
 class _SpaceBox:
-    """Lazily built, thread-shared symbol space."""
+    """Lazily built, thread-shared symbol space and its criterion vectors.
 
-    def __init__(self, N: int, factory: Callable[[int], SymbolSpace]):
+    Both are built at most once per (N, d), when the first candidate
+    prime reaches the Hecke check.
+    """
+
+    def __init__(self, N: int, d: int, factory: Callable[[int], SymbolSpace]):
         self._N = N
+        self._d = d
         self._factory = factory
         self._lock = threading.Lock()
-        self._space: SymbolSpace | None = None
+        self._built: tuple[SymbolSpace, list[FreeVector]] | None = None
 
-    def get(self) -> SymbolSpace:
+    def get(self) -> tuple[SymbolSpace, list[FreeVector]]:
         with self._lock:
-            if self._space is None:
-                self._space = self._factory(self._N)
-            return self._space
+            if self._built is None:
+                space = self._factory(self._N)
+                self._built = (space, criterion_vectors(space, self._d))
+            return self._built
 
 
 def _candidate_primes(N: int, p_max: int) -> list[int]:
@@ -338,7 +344,7 @@ def find_witness_prime(
     gon_ev = _gonality_evidence("X0", N, d)
     fac = factorize(N)
     squarefree_composite = fac.is_squarefree and len(fac) >= 2
-    box = _SpaceBox(N, space_factory)
+    box = _SpaceBox(N, d, space_factory)
 
     def check(p: int) -> WitnessPrime | None:
         hasse = hasse_gate(N, p, d)
@@ -359,8 +365,8 @@ def find_witness_prime(
         if chosen is None:
             return None
         method, arith = chosen
-        space = box.get()
-        rank = quotient_rank_mod_p(space, criterion_vectors(space, d), p)
+        space, vectors = box.get()
+        rank = quotient_rank_mod_p(space, vectors, p)
         indep = _ev(
             "hecke-independence",
             rank == 2 * d,

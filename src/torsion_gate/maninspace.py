@@ -6,11 +6,15 @@ H_1(X_0(N), cusps; Z).  Symbols act on the right:
 (u,v).[[a,b],[c,d]] = (ua+vc, ub+vd), with sigma = [[0,-1],[1,0]] and
 tau = [[0,-1],[1,-1]].
 
-Ranks are computed exactly: over Q by fraction-free (Bareiss) elimination
-on arbitrary-precision integers, over F_p by dense elimination mod p.
-Linear independence in the quotient is always phrased as an augmented-rank
-difference, never through an extracted basis, so no choice of generators
-for the quotient ever enters.
+Ranks are computed exactly, over Q and over F_p, by one sparse row
+echelon (Stein, "Modular Forms: A Computational Approach", ch. 8): the
+relation rows are added one at a time, two-term rows first, each reduced
+against the rows kept so far; over Q the rows stay primitive integer
+vectors, so no fractions arise.  A space builds the echelon once per
+field and keeps it.  Linear independence in the quotient is always
+phrased as an augmented-rank difference, never through an extracted
+basis, so no choice of generators for the quotient ever enters: the
+extra vectors are reduced against the kept echelon on an overlay.
 
 P^1 normalization follows the divisor-canonical scheme (Stein's
 "Modular Forms: A Computational Approach", Algorithm 8.29): the canonical
@@ -20,7 +24,9 @@ first coordinate gcd(u, N).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from collections import ChainMap
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Mapping, MutableMapping, NamedTuple
 
 from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
 
@@ -111,19 +117,30 @@ def p1_normalize(N: int, u: int, v: int) -> ManinSymbol:
 
 
 def p1_list(N: int) -> tuple[ManinSymbol, ...]:
-    """All canonical representatives of P^1(Z/NZ), sorted; length psi(N)."""
+    """All canonical representatives of P^1(Z/NZ), sorted; length psi(N).
+
+    Every class has a member (g, v) with g = gcd(u, N) dividing N, and
+    (g, v) ~ (g, v') exactly when v' = t v for a unit t = 1 (mod N/g), the
+    scalars fixing g.  So for each g the classes are the orbits of that
+    group on the v with gcd(g, v) = 1, and the least v of each orbit gives
+    the canonical (lexicographically least) representative.
+    """
     if N < 1:
         raise ValueError("level must be positive")
     if N == 1:
         return (ManinSymbol(0, 0),)
-    seen = set()
-    # every class has a representative whose first coordinate divides N
-    for g in divisors(N):
-        u = g % N
+    out = [ManinSymbol(0, 1)]  # g = N: the class of (0, 1)
+    for g in divisors(N)[:-1]:
+        m = N // g
+        stabilizer = [t for t in range(1, N, m) if gcd(t, N) == 1]
+        seen = bytearray(N)
         for v in range(N):
-            if gcd(gcd(u, v), N) == 1:
-                seen.add(p1_normalize(N, u, v))
-    return tuple(sorted(seen))
+            if seen[v] or gcd(g, v) != 1:
+                continue
+            out.append(ManinSymbol(g, v))  # ascending g, then v: already sorted
+            for t in stabilizer:
+                seen[t * v % N] = 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +288,13 @@ def render_terms(terms) -> str:
 class SymbolSpace:
     """Level, ordered P^1 generators, and the sigma/tau relation rows.
 
-    Rows are emitted for *every* generator (duplicates from sigma/tau
-    orbits included); rank computations dedupe internally.  Instances are
-    immutable after construction, so concurrent rank queries are safe.
+    Rows are emitted for *every* generator, duplicates from sigma/tau
+    orbits included; a duplicate reduces to zero in the echelon.  The
+    first rank query over a field builds the sparse echelon of the rows
+    over that field and caches it; quotient ranks reduce their extra
+    vectors against it without changing it.  Rows never change, and an
+    echelon is cached only once complete, so concurrent rank queries are
+    safe (two racing over one field may both build it).
     """
 
     def __init__(self, N: int, gens: tuple[ManinSymbol, ...], rows: tuple[tuple[tuple[int, int], ...], ...]):
@@ -281,40 +302,35 @@ class SymbolSpace:
         self.gens = gens
         self.gen_index = {s: i for i, s in enumerate(gens)}
         self.relation_rows = rows
-        self._rank_q: int | None = None
-        self._rank_p: dict[int, int] = {}
+        self._echelons: dict[int, _Echelon] = {}  # keyed by p; 0 is Q
 
     @property
     def psi(self) -> int:
         return len(self.gens)
 
-    def _distinct_rows(self) -> list[tuple[tuple[int, int], ...]]:
-        return list(dict.fromkeys(self.relation_rows))
+    def _echelon(self, p: int) -> _Echelon:
+        ech = self._echelons.get(p)
+        if ech is None:
+            ech = self._echelons[p] = _Echelon(p, self.relation_rows)
+        return ech
 
-    def _dense_rows(self, extra: Iterable[FreeVector] = ()) -> list[list[int]]:
-        ncols = self.psi
+    def _columns(self, vectors: Iterable[FreeVector]) -> list[list[tuple[int, int]]]:
+        """Vectors as sparse rows over the generator columns."""
         out = []
-        for row in self._distinct_rows():
-            dense = [0] * ncols
-            for col, c in row:
-                dense[col] = c
-            out.append(dense)
-        for vec in extra:
-            dense = [0] * ncols
+        for vec in vectors:
+            row = []
             for sym, c in vec:
                 idx = self.gen_index.get(sym)
                 if idx is None:
                     raise ValueError(f"symbol {sym} is not canonical at level {self.N}")
-                dense[idx] = c
-            out.append(dense)
+                row.append((idx, c))
+            out.append(row)
         return out
 
     @property
     def rank_q(self) -> int:
         """Rank of the relation matrix over Q (computed once, then cached)."""
-        if self._rank_q is None:
-            self._rank_q = bareiss_rank(self._dense_rows())
-        return self._rank_q
+        return self._echelon(0).rank
 
     @property
     def quotient_rank(self) -> int:
@@ -322,9 +338,8 @@ class SymbolSpace:
         return self.psi - self.rank_q
 
     def rank_mod_p(self, p: int) -> int:
-        if p not in self._rank_p:
-            self._rank_p[p] = rank_mod_p(self._dense_rows(), p)
-        return self._rank_p[p]
+        """Rank of the relation matrix over F_p (computed once, then cached)."""
+        return self._echelon(p).rank
 
 
 def build_space(N: int) -> SymbolSpace:
@@ -359,66 +374,105 @@ def build_space(N: int) -> SymbolSpace:
 # ---------------------------------------------------------------------------
 
 
-def bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
+def _reduce(pivots: Mapping[int, dict[int, int]], v: dict[int, int], p: int) -> int | None:
+    """Reduce ``v`` in place against ``pivots``; return its new leading column.
 
-    Destroys ``rows``.  Every intermediate entry is a minor of the input,
-    and every division below is exact.
+    Columns are cleared in increasing order until the least remaining one
+    has no pivot row: then ``v`` is independent of the rows and that column
+    is its leading column.  None means ``v`` lies in their span.  Over Q
+    (p = 0) a leading coefficient a != 1 is cleared by scaling ``v``, so
+    entries stay integers; over F_p every leading coefficient is 1.
     """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rows and col < ncols:
-        pivot_at = None
-        best = None
-        for i, r in enumerate(rows):
-            x = r[col]
-            if x and (best is None or abs(x) < best):
-                best = abs(x)
-                pivot_at = i
-                if best == 1:
-                    break
-        if pivot_at is None:
-            col += 1
-            continue
-        pivot = rows.pop(pivot_at)
-        pv = pivot[col]
-        nxt = []
-        for r in rows:
-            x = r[col]
-            new = [(pv * a - x * b) // prev for a, b in zip(r[col + 1 :], pivot[col + 1 :])]
-            if any(new):
-                nxt.append([0] * (col + 1) + new)
-        rows = nxt
-        prev = pv
-        rank += 1
-        col += 1
-    return rank
+    heap = list(v)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = v.get(c)
+        if f is None:
+            continue  # cancelled since it was pushed
+        row = pivots.get(c)
+        if row is None:
+            return c
+        a = row[c]
+        if a != 1:
+            g = gcd(a, f)
+            f //= g
+            if a != g:
+                for k in v:
+                    v[k] *= a // g
+        del v[c]
+        for k, y in row.items():
+            if k == c:
+                continue
+            x = v.get(k)
+            if x is None:
+                x = -f * y
+                heappush(heap, k)
+            else:
+                x -= f * y
+            if p:
+                x %= p
+            if x:
+                v[k] = x
+            else:
+                del v[k]
+    return None
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p by dense Gaussian elimination (destroys ``rows``)."""
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
-    rank = 0
-    for row in rows:
-        row = [a % p for a in row]
-        for pc, pr in echelon:
-            f = row[pc]
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, pr)]
-        for pc, a in enumerate(row):
-            if a:
-                inv = pow(a, -1, p)
-                pr = [inv * x % p for x in row]
-                echelon.append((pc, pr))
-                echelon.sort(key=lambda e: e[0])
-                rank += 1
-                break
-    return rank
+class _Echelon:
+    """Sparse row echelon form of the relation rows over Q (p = 0) or F_p.
+
+    Each row is a dict column -> coefficient stored under its leading
+    (least) column: with leading coefficient 1 over F_p, and as a
+    primitive integer row over Q, so no fractions arise.  Built once and
+    never changed afterwards; :meth:`extra_rank` works on an overlay.
+    """
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p: int, rows: Iterable[tuple[tuple[int, int], ...]]):
+        self.p = p
+        self.pivots: dict[int, dict[int, int]] = {}
+        # two-term (sigma) rows first: they identify symbol pairs, and the
+        # three-term rows then reduce against them with little fill-in
+        for row in sorted(rows, key=len):
+            self._add(self.pivots, row)
+
+    def _add(self, pivots: MutableMapping[int, dict[int, int]], row: Iterable[tuple[int, int]]) -> None:
+        """Add ``row`` to the echelon rows ``pivots`` unless it lies in their span."""
+        p = self.p
+        v = {}
+        for k, x in row:
+            if p:
+                x %= p
+            if x:
+                v[k] = x
+        c = _reduce(pivots, v, p)
+        if c is None:
+            return
+        if p:
+            inv = pow(v[c], -1, p)
+            v = {k: x * inv % p for k, x in v.items()}
+        else:  # primitive, with a positive leading coefficient
+            g = 0
+            for x in v.values():
+                g = gcd(g, x)
+            if v[c] < 0:
+                g = -g
+            if g != 1:
+                v = {k: x // g for k, x in v.items()}
+        pivots[c] = v
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def extra_rank(self, rows: Iterable[Iterable[tuple[int, int]]]) -> int:
+        """dim of the span of ``rows`` modulo the row space of the echelon."""
+        overlay = ChainMap({}, self.pivots)
+        for row in rows:
+            self._add(overlay, row)
+        return len(overlay.maps[0])
 
 
 def _require_odd_prime(p: int) -> None:
@@ -429,19 +483,21 @@ def _require_odd_prime(p: int) -> None:
 def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[FreeVector], p: int) -> int:
     """dim over F_p of the span of the vectors' images in the quotient mod p.
 
-    Computed as rank_{F_p}([R; V]) - rank_{F_p}(R); by right-exactness of
-    tensoring with F_p this is basis-free and exact.
+    Equal to rank_{F_p}([R; V]) - rank_{F_p}(R), which by right-exactness of
+    tensoring with F_p is basis-free and exact; computed by reducing only
+    the vectors against the cached echelon of R mod p.
     """
     _require_odd_prime(p)
-    vectors = list(vectors)
-    base = space.rank_mod_p(p)
-    return rank_mod_p(space._dense_rows(vectors), p) - base
+    rows = space._columns(vectors)
+    space.rank_mod_p(p)  # builds the echelon of R mod p once per space
+    return space._echelons[p].extra_rank(rows)
 
 
 def quotient_rank_q(space: SymbolSpace, vectors: Iterable[FreeVector]) -> int:
     """dim over Q of the span of the vectors' images in the quotient."""
-    vectors = list(vectors)
-    return bareiss_rank(space._dense_rows(vectors)) - space.rank_q
+    rows = space._columns(vectors)
+    space.rank_q  # builds the echelon of R over Q once per space
+    return space._echelons[0].extra_rank(rows)
 
 
 # ---------------------------------------------------------------------------

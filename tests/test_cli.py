@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +195,22 @@ def test_cache_directory(tmp_path, capsys):
     code, out2 = run_cli(capsys, "homology", "--N", "40", "--cache", str(cache))
     assert code == 0
     assert out1 == out2
+
+
+def test_closed_stdout_exits_quietly():
+    # like `torsion-gate reproduce | head -c 0`: the reader is gone before any write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsion_gate.cli", "reproduce"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from torsion_gate import gate
 from torsion_gate.gate import (
     GONALITY,
     X0_THREE_GONAL_BY_GENUS,
@@ -122,6 +123,16 @@ def test_find_witness_prime_workers_deterministic(get_space):
     a = find_witness_prime(169, 3, 50, workers=1, space_factory=get_space)
     b = find_witness_prime(169, 3, 50, workers=4, space_factory=get_space)
     assert (a.p, a.method) == (b.p, b.method)
+
+
+def test_criterion_vectors_built_once_per_level(get_space, monkeypatch):
+    # at 169, p = 3 reaches the Hecke check and fails it; p = 5 passes
+    calls = []
+    build = gate.criterion_vectors
+    monkeypatch.setattr(gate, "criterion_vectors", lambda space, d: calls.append(d) or build(space, d))
+    hit = find_witness_prime(169, 3, 50, space_factory=get_space)
+    assert hit.p == 5
+    assert calls == [3]
 
 
 def test_find_witness_prime_validates_p_max():

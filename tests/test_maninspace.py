@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from torsion_gate.exactmath import gcd
+from torsion_gate.hecke import criterion_vectors
 from torsion_gate.maninspace import (
     FreeVector,
     ManinSymbol,
     SIGMA,
     TAU,
+    _Echelon,
     build_space,
     cusp_count_x0,
     genus_x0,
@@ -21,6 +25,8 @@ from torsion_gate.maninspace import (
     space_save,
 )
 
+from oracles import bareiss_rank, dense_rank_mod_p, dense_rows, p1_list_by_normalize
+
 # quotient dimension 2g + c - 1, with g and c from the classical formulas
 EXPECTED_QUOTIENT_RANK = {
     11: 3,
@@ -33,6 +39,9 @@ EXPECTED_QUOTIENT_RANK = {
     91: 17,
     143: 29,
     169: 29,
+    1000: 301,
+    2431: 505,
+    5000: 1501,
 }
 
 
@@ -78,6 +87,11 @@ def test_p1_list_matches_index_formula():
         assert len(p1_list(N)) == index_x0(N), N
 
 
+def test_p1_list_matches_normalize_oracle():
+    for N in [*range(1, 301), 1001, 2431]:
+        assert p1_list(N) == p1_list_by_normalize(N), N
+
+
 def test_p1_list_entries_are_canonical_and_distinct():
     for N in (22, 40, 169):
         gens = p1_list(N)
@@ -113,6 +127,36 @@ def test_quotient_rank_matches_genus_cusp_formula(get_space):
         assert space.quotient_rank == 2 * genus_x0(N) + cusp_count_x0(N) - 1
         assert space.psi == index_x0(N)
         assert len(space.relation_rows) == 2 * space.psi
+
+
+@pytest.mark.parametrize("N", range(1, 201))
+def test_ranks_match_dense_oracles(N):
+    space = build_space(N)
+    vectors = criterion_vectors(space, 3)
+    base = bareiss_rank(dense_rows(space))
+    assert quotient_rank_q(space, vectors) == bareiss_rank(dense_rows(space, vectors)) - base
+    assert space.rank_q == base  # the quotient left the cached echelon as it was
+    for p in (3, 5, 7):
+        base = dense_rank_mod_p(dense_rows(space), p)
+        assert quotient_rank_mod_p(space, vectors, p) == dense_rank_mod_p(dense_rows(space, vectors), p) - base
+        assert space.rank_mod_p(p) == base
+
+
+def test_echelon_matches_dense_oracles_on_random_matrices():
+    # leading coefficients other than 1 occur here, unlike in relation matrices
+    rng = random.Random(7)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(ncols)] for _ in range(nrows)]
+        sparse = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
+        cut = rng.randint(0, nrows)
+        for p in (0, 3, 5):
+            oracle = (lambda m: dense_rank_mod_p(m, p)) if p else bareiss_rank
+            want = oracle([r[:] for r in rows[:cut]])
+            base = _Echelon(p, sparse[:cut])
+            assert base.rank == want
+            assert base.extra_rank(sparse[cut:]) == oracle([r[:] for r in rows]) - want
+            assert base.rank == want  # extra_rank left the echelon as it was
 
 
 def test_sigma_relation_row_dies_in_quotient(get_space):
