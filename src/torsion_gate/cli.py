@@ -76,25 +76,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("TORSION_GATE_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="torsion-gate", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     common.add_argument("--cache", metavar="DIR", default=None, help="directory for symbol-space cache files")
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=_default_workers(),
-        help="parallel workers (default: $TORSION_GATE_WORKERS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("verify", parents=[common], help="decide one (N, d) exclusion")
@@ -156,7 +142,7 @@ def _report_lines(report: GateReport) -> list[str]:
 
 def cmd_verify(args) -> int:
     report = verify_cyclic_exclusion(
-        args.N, args.d, p_max=args.p_max, workers=args.workers, space_factory=_space_factory(args.cache)
+        args.N, args.d, p_max=args.p_max, space_factory=_space_factory(args.cache)
     )
     doc = _envelope(
         "verify",
@@ -251,7 +237,7 @@ def cmd_census(args) -> int:
     pp = PrimePower(p, n)
     t0 = time.monotonic_ns()
     predicted = admissible_traces(pp)
-    observed = brute_force_census(pp, workers=args.workers)
+    observed = brute_force_census(pp)
     elapsed = (time.monotonic_ns() - t0) // 1_000_000
     match = observed.trace_set == predicted.traces
     evidence = [
@@ -300,7 +286,7 @@ def cmd_reproduce(args) -> int:
     t0 = time.monotonic_ns()
     factory = _space_factory(args.cache)
     reports = [
-        verify_cyclic_exclusion(N, args.d, p_max=args.p_max, workers=args.workers, space_factory=factory)
+        verify_cyclic_exclusion(N, args.d, p_max=args.p_max, space_factory=factory)
         for N in CASE_LEVELS
     ]
     elapsed = (time.monotonic_ns() - t0) // 1_000_000
@@ -341,9 +327,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.workers < 1:
-        print("torsion-gate: error: --workers must be >= 1", file=sys.stderr)
-        return 1
     handler = {
         "verify": cmd_verify,
         "homology": cmd_homology,

@@ -21,9 +21,7 @@ torsion occurs.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -298,28 +296,6 @@ class GateReport:
         }
 
 
-class _SpaceBox:
-    """Lazily built, thread-shared symbol space and its criterion vectors.
-
-    Both are built at most once per (N, d), when the first candidate
-    prime reaches the Hecke check.
-    """
-
-    def __init__(self, N: int, d: int, factory: Callable[[int], SymbolSpace]):
-        self._N = N
-        self._d = d
-        self._factory = factory
-        self._lock = threading.Lock()
-        self._built: tuple[SymbolSpace, list[FreeVector]] | None = None
-
-    def get(self) -> tuple[SymbolSpace, list[FreeVector]]:
-        with self._lock:
-            if self._built is None:
-                space = self._factory(self._N)
-                self._built = (space, criterion_vectors(space, self._d))
-            return self._built
-
-
 def _candidate_primes(N: int, p_max: int) -> list[int]:
     return [p for p in primes_up_to(p_max) if p > 2 and N % p != 0]
 
@@ -328,14 +304,14 @@ def find_witness_prime(
     N: int,
     d: int,
     p_max: int = 97,
-    workers: int = 1,
     space_factory: Callable[[int], SymbolSpace] = build_space,
 ) -> WitnessPrime | None:
     """Least odd prime p <= p_max certifying exclusion via T3 or T4 conditions.
 
-    Candidates are tested in ascending order (possibly concurrently; the
-    returned witness is the least passing prime regardless of completion
-    order).  An empty result is *not* a disproof.
+    Candidates are tested in ascending order and the search stops at the
+    first pass.  The symbol space and its criterion vectors are built at
+    most once, when the first candidate reaches the Hecke check.  An empty
+    result is *not* a disproof.
     """
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
@@ -344,12 +320,13 @@ def find_witness_prime(
     gon_ev = _gonality_evidence("X0", N, d)
     fac = factorize(N)
     squarefree_composite = fac.is_squarefree and len(fac) >= 2
-    box = _SpaceBox(N, d, space_factory)
+    space: SymbolSpace | None = None
+    vectors: list[FreeVector] = []
 
-    def check(p: int) -> WitnessPrime | None:
+    for p in _candidate_primes(N, p_max):
         hasse = hasse_gate(N, p, d)
         if not hasse.passed:
-            return None
+            continue
         # Prefer the squarefree-composite route: its coprimality condition
         # is the one stated for such levels; fall back to the prime-power
         # divisibility route, which applies to any N.
@@ -363,9 +340,11 @@ def find_witness_prime(
             if t3.passed:
                 chosen = ("T3", t3)
         if chosen is None:
-            return None
+            continue
         method, arith = chosen
-        space, vectors = box.get()
+        if space is None:
+            space = space_factory(N)
+            vectors = criterion_vectors(space, d)
         rank = quotient_rank_mod_p(space, vectors, p)
         indep = _ev(
             "hecke-independence",
@@ -375,27 +354,15 @@ def find_witness_prime(
             rank=rank,
             required=2 * d,
         )
-        if not indep.passed:
-            return None
-        return WitnessPrime(p, method, [gon_ev, hasse, arith, indep])
-
-    candidates = _candidate_primes(N, p_max)
-    if workers <= 1:
-        for p in candidates:
-            hit = check(p)
-            if hit is not None:
-                return hit
-        return None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = [h for h in pool.map(check, candidates) if h is not None]
-    return min(hits, key=lambda h: h.p) if hits else None
+        if indep.passed:
+            return WitnessPrime(p, method, [gon_ev, hasse, arith, indep])
+    return None
 
 
 def verify_cyclic_exclusion(
     N: int,
     d: int = 3,
     p_max: int = 97,
-    workers: int = 1,
     space_factory: Callable[[int], SymbolSpace] = build_space,
 ) -> GateReport:
     """Full verdict for (N, d): witness-prime search, then reduction fallback."""
@@ -419,7 +386,7 @@ def verify_cyclic_exclusion(
         elapsed_ms = (time.monotonic_ns() - t0) // 1_000_000
         return GateReport(N=N, d=d, outcome=outcome, witness_prime=witness, evidence=evidence, elapsed_ms=int(elapsed_ms))
 
-    hit = find_witness_prime(N, d, p_max, workers, space_factory)
+    hit = find_witness_prime(N, d, p_max, space_factory)
     if hit is not None:
         outcome = f"excluded-{hit.method}"
         witness = hit.p

@@ -292,9 +292,7 @@ class SymbolSpace:
     orbits included; a duplicate reduces to zero in the echelon.  The
     first rank query over a field builds the sparse echelon of the rows
     over that field and caches it; quotient ranks reduce their extra
-    vectors against it without changing it.  Rows never change, and an
-    echelon is cached only once complete, so concurrent rank queries are
-    safe (two racing over one field may both build it).
+    vectors against it without changing it.
     """
 
     def __init__(self, N: int, gens: tuple[ManinSymbol, ...], rows: tuple[tuple[tuple[int, int], ...], ...]):

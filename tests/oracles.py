@@ -1,18 +1,23 @@
 """Slow reference implementations the engine's fast paths are tested against.
 
-These were the engine's production paths before the sparse echelon and
-the orbit enumeration of P^1 replaced them: dense fraction-free (Bareiss)
-elimination over Q, dense Gaussian elimination mod p, and the P^1
-enumeration that normalizes every pair (g, v) with g | N.  They share no
-elimination or enumeration code with :mod:`torsion_gate.maninspace`.
+These were the engine's production paths before the sparse echelon, the
+orbit enumeration of P^1 and the census by translation orbits replaced
+them: dense fraction-free (Bareiss) elimination over Q, dense Gaussian
+elimination mod p, the P^1 enumeration that normalizes every pair (g, v)
+with g | N, and the census that scans every coefficient triple (a, b, c).
+They share no elimination or enumeration code with
+:mod:`torsion_gate.maninspace` and no scan code with
+:mod:`torsion_gate.redux`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
-from torsion_gate.exactmath import divisors, gcd
+from torsion_gate.exactmath import PrimePower, divisors, field_make, gcd
 from torsion_gate.maninspace import FreeVector, ManinSymbol, SymbolSpace, p1_normalize
+from torsion_gate.redux import BruteForceCensus
 
 
 def dense_rows(space: SymbolSpace, extra: Iterable[FreeVector] = ()) -> list[list[int]]:
@@ -107,3 +112,42 @@ def p1_list_by_normalize(N: int) -> tuple[ManinSymbol, ...]:
             if gcd(gcd(u, v), N) == 1:
                 seen.add(p1_normalize(N, u, v))
     return tuple(sorted(seen))
+
+
+def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:
+    """Point counts of all q^4 curves y^2 = x^3 + a x^2 + b x + c over F_q (p odd).
+
+    Each nonsingular cubic is counted once, through the quadratic
+    character: |E| = q + 1 + sum_x chi(f(x)).
+    """
+    q = pp.q
+    F = field_make(pp)
+    rng = range(q)
+    add = [[F.add(a, b) for b in rng] for a in rng]
+    mul = [[F.mul(a, b) for b in rng] for a in rng]
+    chi = [F.quadratic_character(a) for a in rng]
+    sq = [mul[x][x] for x in rng]
+    cube = [mul[x][sq[x]] for x in rng]
+    # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2
+    c18 = 18 % pp.p
+    cm4 = -4 % pp.p
+    cm27 = -27 % pp.p
+    traces: Counter = Counter()
+    orders: set[int] = set()
+    for a in rng:
+        a2 = sq[a]
+        a3 = cube[a]
+        mul_a = mul[a]
+        for b in rng:
+            base = [add[cube[x]][add[mul_a[sq[x]]][mul[b][x]]] for x in rng]
+            k_lin = add[mul[c18][mul[a][b]]][mul[cm4][a3]]
+            k_const = add[mul[a2][sq[b]]][mul[cm4][cube[b]]]
+            for c in rng:
+                disc = add[add[mul[k_lin][c]][k_const]][mul[cm27][sq[c]]]
+                if disc == 0:
+                    continue
+                add_c = add[c]
+                s = sum(chi[add_c[v]] for v in base)
+                orders.add(q + 1 + s)
+                traces[-s] += 1
+    return BruteForceCensus(q=q, trace_counts=dict(traces), orders=frozenset(orders))

@@ -146,9 +146,9 @@ def test_reproduce_json_and_low_p_max(capsys):
     assert byname["exclude-143"]["passed"] is True
 
 
-def test_reproduce_deterministic_across_workers(capsys):
-    code1, out1 = run_cli(capsys, "reproduce", "--format", "json", "--workers", "1")
-    code2, out2 = run_cli(capsys, "reproduce", "--format", "json", "--workers", "3")
+def test_reproduce_json_is_deterministic(capsys):
+    code1, out1 = run_cli(capsys, "reproduce", "--format", "json")
+    code2, out2 = run_cli(capsys, "reproduce", "--format", "json")
     assert code1 == code2 == 0
     doc1, doc2 = json.loads(out1), json.loads(out2)
     doc1.pop("timing"), doc2.pop("timing")
@@ -173,18 +173,11 @@ def test_reproduce_degree_one_smoke(capsys):
     assert "summary:" in out
 
 
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("TORSION_GATE_WORKERS", "2")
-    parser = cli.build_parser()
-    args = parser.parse_args(["census", "--q", "9"])
-    assert args.workers == 2
-    monkeypatch.setenv("TORSION_GATE_WORKERS", "junk")
-    args = cli.build_parser().parse_args(["census", "--q", "9"])
-    assert args.workers == 1
-
-
-def test_workers_flag_validation(capsys):
-    assert cli.main(["census", "--q", "9", "--workers", "0"]) == 1
+def test_workers_flag_is_a_usage_error(capsys):
+    assert cli.main(["census", "--q", "9", "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in err
+    assert "Traceback" not in err
 
 
 def test_cache_directory(tmp_path, capsys):

@@ -119,10 +119,21 @@ def test_find_witness_prime_never_returns_divisor_or_two(get_space):
         assert names[0] == "gonality-x0" and names[-1] == "hecke-independence"
 
 
-def test_find_witness_prime_workers_deterministic(get_space):
-    a = find_witness_prime(169, 3, 50, workers=1, space_factory=get_space)
-    b = find_witness_prime(169, 3, 50, workers=4, space_factory=get_space)
-    assert (a.p, a.method) == (b.p, b.method)
+def test_find_witness_prime_stops_at_first_pass(get_space, monkeypatch):
+    # at 169, d = 3: p = 3 fails the Hecke check and 5 passes; d = 1: 3 passes,
+    # although every odd p <= 97 would clear the Hasse and T3 gates
+    rank = gate.quotient_rank_mod_p
+
+    def recording_rank(space, vectors, p):
+        tried.append(p)
+        return rank(space, vectors, p)
+
+    monkeypatch.setattr(gate, "quotient_rank_mod_p", recording_rank)
+    for d, reached in ((3, [3, 5]), (1, [3])):
+        tried = []
+        hit = find_witness_prime(169, d, 97, space_factory=get_space)
+        assert hit.p == reached[-1]
+        assert tried == reached
 
 
 def test_criterion_vectors_built_once_per_level(get_space, monkeypatch):

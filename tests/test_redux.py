@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from torsion_gate.exactmath import PrimePower
+from torsion_gate.exactmath import PrimePower, primes_up_to
 from torsion_gate.redux import (
     JACOBIAN_FINITE_FACTS,
     admissible_traces,
@@ -11,6 +11,8 @@ from torsion_gate.redux import (
     method_a_verdict,
     orders_divisible_by,
 )
+
+from oracles import brute_force_census_full
 
 # hand-derived from Waterhouse's case list:
 #   q=3:  (1) +-1, +-2; (4) +-3; (5) 0
@@ -96,11 +98,27 @@ def test_brute_force_guards():
         brute_force_census(PrimePower(3, 6))  # 729 > 343
 
 
-def test_brute_force_worker_partition_is_deterministic():
-    one = brute_force_census(PrimePower(3, 2), workers=1)
-    many = brute_force_census(PrimePower(3, 2), workers=3)
-    assert one.trace_counts == many.trace_counts
-    assert one.orders == many.orders
+ODD_PRIME_POWERS_TO_49 = [(p, n) for p in primes_up_to(49) if p > 2 for n in (1, 2, 3) if p**n <= 49]
+
+
+@pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_49)
+def test_brute_force_matches_full_scan(p, n):
+    # the orbit slices with their weights count exactly what the q^4 scan counts
+    pp = PrimePower(p, n)
+    observed = brute_force_census(pp)
+    full = brute_force_census_full(pp)
+    assert observed.trace_counts == full.trace_counts
+    assert observed.orders == full.orders
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (3, 5)])  # q = 125 (p != 3), 243 (p = 3, odd exponent)
+def test_brute_force_at_guard_sizes(p, n):
+    pp = PrimePower(p, n)
+    observed = brute_force_census(pp)
+    assert observed.trace_set == admissible_traces(pp).traces
+    assert sum(observed.trace_counts.values()) == pp.q**3 - pp.q**2  # the nonsingular monic cubics
+    for t, count in observed.trace_counts.items():
+        assert observed.trace_counts[-t] == count
 
 
 def test_jacobian_facts_table():
