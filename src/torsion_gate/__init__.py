@@ -42,8 +42,6 @@ from .maninspace import (
     p1_normalize,
     quotient_rank_mod_p,
     quotient_rank_q,
-    space_load,
-    space_save,
 )
 from .redux import (
     BruteForceCensus,
@@ -101,8 +99,6 @@ __all__ = [
     "p1_normalize",
     "quotient_rank_mod_p",
     "quotient_rank_q",
-    "space_load",
-    "space_save",
     "t3_divisibility",
     "t4_coprimality",
     "verify_cyclic_exclusion",

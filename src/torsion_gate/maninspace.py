@@ -20,6 +20,14 @@ P^1 normalization follows the divisor-canonical scheme (Stein's
 "Modular Forms: A Computational Approach", Algorithm 8.29): the canonical
 representative of a class is its lexicographically least member, which has
 first coordinate gcd(u, N).
+
+The relation build classifies translates by table lookup instead of
+normalizing each one: for each divisor g < N it marks, for every
+generator (g, v), the orbit of v under the units t = 1 (mod N/g), so that
+``classes[g][w]`` is the class of (g, w); a translate (u, v) is scaled by
+a unit s with s u = gcd(u, N) (mod N) and read off as (g, s v).  It
+emits each relation once, per sigma orbit and per tau orbit, as Stein
+does (ch. 8).
 """
 
 from __future__ import annotations
@@ -46,8 +54,6 @@ __all__ = [
     "quotient_rank_q",
     "render_terms",
     "right_translate",
-    "space_load",
-    "space_save",
 ]
 
 
@@ -288,11 +294,12 @@ def render_terms(terms) -> str:
 class SymbolSpace:
     """Level, ordered P^1 generators, and the sigma/tau relation rows.
 
-    Rows are emitted for *every* generator, duplicates from sigma/tau
-    orbits included; a duplicate reduces to zero in the echelon.  The
-    first rank query over a field builds the sparse echelon of the rows
-    over that field and caches it; quotient ranks reduce their extra
-    vectors against it without changing it.
+    There is one row per orbit of sigma and one per orbit of tau on the
+    generators (x + x.sigma, or 2x when sigma fixes x; x + x.tau + x.tau^2,
+    or 3x when tau fixes x), so no row repeats.  The first rank query over
+    a field builds the sparse echelon of the rows over that field and
+    caches it; quotient ranks reduce their extra vectors against it
+    without changing it.
     """
 
     def __init__(self, N: int, gens: tuple[ManinSymbol, ...], rows: tuple[tuple[tuple[int, int], ...], ...]):
@@ -341,29 +348,53 @@ class SymbolSpace:
 
 
 def build_space(N: int) -> SymbolSpace:
-    """Assemble the generators and all sigma- and tau-relation rows at level N."""
+    """Assemble the generators and one relation row per sigma and tau orbit.
+
+    Translates are classified by the class tables described in the module
+    docstring, not by :func:`p1_normalize`.  The tables live only for this
+    call; u = 0 keys the table of g = N, whose every entry is the class of
+    (0, 1).
+    """
     gens = p1_list(N)
     assert len(gens) == index_x0(N), f"P^1(Z/{N}) enumeration does not match psi"
-    index = {s: i for i, s in enumerate(gens)}
+    divs = divisors(N)
+    scale = [0] * N  # scale[u]: a unit s with s u = gcd(u, N) (mod N)
+    for x in range(N):
+        if gcd(x, N) == 1:
+            y = pow(x, -1, N)
+            for g in divs:
+                scale[g * x % N] = y
+    classes = {0: [0] * N}  # keyed by gcd(u, N) mod N; -1 marks no class yet
+    stabilizers = {}
+    for g in divs[:-1]:
+        classes[g] = [-1] * N
+        stabilizers[g] = [t for t in range(1, N, N // g) if gcd(t, N) == 1]
+    for i, (g, v) in enumerate(gens):
+        if g:
+            table = classes[g]
+            for t in stabilizers[g]:
+                table[t * v % N] = i
 
-    def normalized(sym: ManinSymbol, m) -> int:
-        return index[p1_normalize(N, *right_translate(N, sym.u, sym.v, m))]
+    def cls(u: int, v: int) -> int:
+        s = scale[u % N]
+        return classes[s * u % N][s * v % N]
 
+    # (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v)
+    sigma = [cls(v, -u) for u, v in gens]
+    tau = [cls(v, -u - v) for u, v in gens]
+    assert -1 not in sigma and -1 not in tau, f"a translate missed the class tables at N={N}"
     rows = []
-    for sym in gens:
-        i = index[sym]
-        acc: dict[int, int] = {i: 1}
-        j = normalized(sym, SIGMA)
-        acc[j] = acc.get(j, 0) + 1
-        rows.append(tuple(sorted(acc.items())))
-
-        acc = {i: 1}
-        t = p1_normalize(N, *right_translate(N, sym.u, sym.v, TAU))
-        j = index[t]
-        acc[j] = acc.get(j, 0) + 1
-        k = normalized(t, TAU)
-        acc[k] = acc.get(k, 0) + 1
-        rows.append(tuple(sorted(acc.items())))
+    for i, j in enumerate(sigma):
+        if i < j:
+            rows.append(((i, 1), (j, 1)))
+        elif i == j:
+            rows.append(((i, 2),))
+        j = tau[i]
+        k = tau[j]
+        if i == j:  # tau fixes the class, so the orbit is {i}
+            rows.append(((i, 3),))
+        elif i < j and i < k:
+            rows.append(((i, 1), (j, 1), (k, 1)) if j < k else ((i, 1), (k, 1), (j, 1)))
     return SymbolSpace(N, gens, tuple(rows))
 
 
@@ -496,56 +527,3 @@ def quotient_rank_q(space: SymbolSpace, vectors: Iterable[FreeVector]) -> int:
     rows = space._columns(vectors)
     space.rank_q  # builds the echelon of R over Q once per space
     return space._echelons[0].extra_rank(rows)
-
-
-# ---------------------------------------------------------------------------
-# optional on-disk cache for a built space
-# ---------------------------------------------------------------------------
-
-_CACHE_MAGIC = "torsion-gate-space 1"
-
-
-def space_save(space: SymbolSpace, path) -> None:
-    """Serialize a space: header, then one relation row per line."""
-    lines = [
-        _CACHE_MAGIC,
-        f"N {space.N}",
-        f"psi {space.psi}",
-        f"rows {len(space.relation_rows)}",
-    ]
-    for row in space.relation_rows:
-        lines.append(" ".join(f"{col}:{c}" for col, c in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def space_load(path) -> SymbolSpace:
-    """Load a serialized space, re-deriving and re-validating the generators."""
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _CACHE_MAGIC:
-        raise ValueError(f"{path}: not a symbol-space cache file")
-
-    def header(idx: int, key: str) -> int:
-        name, _, value = lines[idx].partition(" ")
-        if name != key:
-            raise ValueError(f"{path}: expected '{key}' header line")
-        return int(value)
-
-    N = header(1, "N")
-    psi = header(2, "psi")
-    nrows = header(3, "rows")
-    gens = p1_list(N)
-    if len(gens) != psi or psi != index_x0(N):
-        raise ValueError(f"{path}: psi header {psi} does not match level {N}")
-    body = lines[4 : 4 + nrows]
-    if len(body) != nrows:
-        raise ValueError(f"{path}: expected {nrows} relation rows")
-    rows = []
-    for line in body:
-        row = []
-        for chunk in line.split():
-            col, _, c = chunk.partition(":")
-            row.append((int(col), int(c)))
-        rows.append(tuple(row))
-    return SymbolSpace(N, gens, tuple(rows))

@@ -1,10 +1,12 @@
 """Slow reference implementations the engine's fast paths are tested against.
 
 These were the engine's production paths before the sparse echelon, the
-orbit enumeration of P^1 and the census by translation orbits replaced
-them: dense fraction-free (Bareiss) elimination over Q, dense Gaussian
-elimination mod p, the P^1 enumeration that normalizes every pair (g, v)
-with g | N, and the census that scans every coefficient triple (a, b, c).
+orbit enumeration of P^1, the relation build by class lookup and the
+census by translation orbits replaced them: dense fraction-free (Bareiss)
+elimination over Q, dense Gaussian elimination mod p, the P^1
+enumeration that normalizes every pair (g, v) with g | N, the relation
+build that normalizes every translate, and the census that scans every
+coefficient triple (a, b, c).
 They share no elimination or enumeration code with
 :mod:`torsion_gate.maninspace` and no scan code with
 :mod:`torsion_gate.redux`.
@@ -16,7 +18,7 @@ from collections import Counter
 from typing import Iterable
 
 from torsion_gate.exactmath import PrimePower, divisors, field_make, gcd
-from torsion_gate.maninspace import FreeVector, ManinSymbol, SymbolSpace, p1_normalize
+from torsion_gate.maninspace import SIGMA, TAU, FreeVector, ManinSymbol, SymbolSpace, p1_normalize, right_translate
 from torsion_gate.redux import BruteForceCensus
 
 
@@ -112,6 +114,36 @@ def p1_list_by_normalize(N: int) -> tuple[ManinSymbol, ...]:
             if gcd(gcd(u, v), N) == 1:
                 seen.add(p1_normalize(N, u, v))
     return tuple(sorted(seen))
+
+
+def relation_rows_by_normalize(N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The sigma and tau relation rows at level N, two per generator, duplicates included.
+
+    Every translate is normalized with :func:`p1_normalize`; columns index
+    :func:`p1_list_by_normalize`.
+    """
+    gens = p1_list_by_normalize(N)
+    index = {s: i for i, s in enumerate(gens)}
+
+    def normalized(sym: ManinSymbol, m) -> int:
+        return index[p1_normalize(N, *right_translate(N, sym.u, sym.v, m))]
+
+    rows = []
+    for sym in gens:
+        i = index[sym]
+        acc: dict[int, int] = {i: 1}
+        j = normalized(sym, SIGMA)
+        acc[j] = acc.get(j, 0) + 1
+        rows.append(tuple(sorted(acc.items())))
+
+        acc = {i: 1}
+        t = p1_normalize(N, *right_translate(N, sym.u, sym.v, TAU))
+        j = index[t]
+        acc[j] = acc.get(j, 0) + 1
+        k = normalized(t, TAU)
+        acc[k] = acc.get(k, 0) + 1
+        rows.append(tuple(sorted(acc.items())))
+    return tuple(rows)
 
 
 def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:

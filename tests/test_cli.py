@@ -180,14 +180,12 @@ def test_workers_flag_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
-def test_cache_directory(tmp_path, capsys):
-    cache = tmp_path / "spaces"
-    code, out1 = run_cli(capsys, "homology", "--N", "40", "--cache", str(cache))
-    assert code == 0
-    assert (cache / "manin_space_40.txt").exists()
-    code, out2 = run_cli(capsys, "homology", "--N", "40", "--cache", str(cache))
-    assert code == 0
-    assert out1 == out2
+def test_cache_flag_is_a_usage_error(capsys, tmp_path):
+    assert cli.main(["homology", "--N", "40", "--cache", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --cache {tmp_path}" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_closed_stdout_exits_quietly():
