@@ -26,7 +26,6 @@ from .hecke import (
     MerelMatrix,
     criterion_vectors,
     hecke_action,
-    independence_mod_p,
     merel_matrices,
     winding_symbol,
 )
@@ -39,7 +38,6 @@ from .maninspace import (
     genus_x0,
     index_x0,
     p1_list,
-    p1_normalize,
     quotient_rank_mod_p,
     quotient_rank_q,
 )
@@ -89,14 +87,12 @@ __all__ = [
     "gonality_exceeds",
     "hasse_gate",
     "hecke_action",
-    "independence_mod_p",
     "index_x0",
     "isqrt",
     "merel_matrices",
     "method_a_verdict",
     "orders_divisible_by",
     "p1_list",
-    "p1_normalize",
     "quotient_rank_mod_p",
     "quotient_rank_q",
     "t3_divisibility",

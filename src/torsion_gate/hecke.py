@@ -7,9 +7,12 @@ T_n sends a symbol (x,y) to the sum of the right translates
 
 omitting any translate whose reduction mod N fails gcd(x',y',N) = 1
 (Merel, "Universal Fourier expansions of modular forms", Prop. 20).
-The distinguished symbol (0,1) is the class of the modular symbol
-{0, oo}; the vectors T_1(0,1), ..., T_{2d}(0,1) feed the Kamienny-style
-independence test.
+Each kept translate is classified by :meth:`SymbolSpace.index`, the
+class-table lookup the relation build uses, so the engine has one P^1
+classifier.  The distinguished symbol (0,1) is the class of the modular
+symbol {0, oo}; the vectors T_1(0,1), ..., T_{2d}(0,1) feed the
+Kamienny-style independence test, which the gate runs through
+:func:`~torsion_gate.maninspace.quotient_rank_mod_p`.
 """
 
 from __future__ import annotations
@@ -17,14 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactmath import gcd, is_prime
-from .maninspace import (
-    FreeVector,
-    ManinSymbol,
-    SymbolSpace,
-    p1_normalize,
-    quotient_rank_mod_p,
-)
+from .exactmath import gcd
+from .maninspace import FreeVector, ManinSymbol, SymbolSpace
 
 __all__ = [
     "MerelMatrix",
@@ -32,7 +29,6 @@ __all__ = [
     "generic_winding_expansion",
     "hecke_action",
     "hecke_action_vector",
-    "independence_mod_p",
     "merel_matrices",
     "winding_symbol",
 ]
@@ -78,7 +74,7 @@ def merel_matrices(n: int) -> tuple[MerelMatrix, ...]:
 
 def winding_symbol(N: int) -> ManinSymbol:
     """The Manin symbol of the modular symbol {0, oo} at level N."""
-    return p1_normalize(N, 0, 1)
+    return ManinSymbol(0, 0) if N == 1 else ManinSymbol(0, 1)
 
 
 def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> FreeVector:
@@ -92,7 +88,7 @@ def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> FreeVector:
         vp = (x.u * m.b + x.v * m.d) % N
         if gcd(gcd(up, vp), N) != 1:
             continue  # omission rule: translate left P^1(Z/NZ)
-        sym = p1_normalize(N, up, vp)
+        sym = space.gens[space.index(up, vp)]
         acc[sym] = acc.get(sym, 0) + 1
     return FreeVector(acc)
 
@@ -128,15 +124,3 @@ def criterion_vectors(space: SymbolSpace, d: int) -> list[FreeVector]:
     e = winding_symbol(space.N)
     return [hecke_action(space, i, e) for i in range(1, 2 * d + 1)]
 
-
-def independence_mod_p(space: SymbolSpace, d: int, p: int) -> bool:
-    """Whether T_1(0,1), ..., T_{2d}(0,1) are independent in the quotient mod p.
-
-    True iff their span in (quotient tensor F_p) has full dimension 2d.
-    Requires p an odd prime not dividing the level.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if space.N % p == 0:
-        raise ValueError(f"p = {p} divides the level N = {space.N}")
-    return quotient_rank_mod_p(space, criterion_vectors(space, d), p) == 2 * d

@@ -16,18 +16,18 @@ phrased as an augmented-rank difference, never through an extracted
 basis, so no choice of generators for the quotient ever enters: the
 extra vectors are reduced against the kept echelon on an overlay.
 
-P^1 normalization follows the divisor-canonical scheme (Stein's
-"Modular Forms: A Computational Approach", Algorithm 8.29): the canonical
-representative of a class is its lexicographically least member, which has
-first coordinate gcd(u, N).
-
-The relation build classifies translates by table lookup instead of
-normalizing each one: for each divisor g < N it marks, for every
-generator (g, v), the orbit of v under the units t = 1 (mod N/g), so that
-``classes[g][w]`` is the class of (g, w); a translate (u, v) is scaled by
-a unit s with s u = gcd(u, N) (mod N) and read off as (g, s v).  It
-emits each relation once, per sigma orbit and per tau orbit, as Stein
-does (ch. 8).
+The canonical representative of a class of P^1(Z/NZ) is its
+lexicographically least member, which has first coordinate gcd(u, N)
+(the divisor-canonical scheme of Stein's Algorithm 8.29).  The engine
+classifies by table lookup, never by normalizing a pair; Algorithm 8.29's
+normalization lives on only as the reference the tests compare against.
+For each divisor g < N the build marks, for every generator (g, v), the
+orbit of v under the units t = 1 (mod N/g), so that ``classes[g][w]`` is
+the class of (g, w); a pair (u, v) is scaled by a unit s with
+s u = gcd(u, N) (mod N) and read off as (g, s v).
+:meth:`SymbolSpace.index` is that lookup; the relation build and the
+Hecke translates both use it.  The relation build emits each relation
+once, per sigma orbit and per tau orbit, as Stein does (ch. 8).
 """
 
 from __future__ import annotations
@@ -41,19 +41,15 @@ from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
 __all__ = [
     "FreeVector",
     "ManinSymbol",
-    "SIGMA",
     "SymbolSpace",
-    "TAU",
     "build_space",
     "cusp_count_x0",
     "genus_x0",
     "index_x0",
     "p1_list",
-    "p1_normalize",
     "quotient_rank_mod_p",
     "quotient_rank_q",
     "render_terms",
-    "right_translate",
 ]
 
 
@@ -65,61 +61,6 @@ class ManinSymbol(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.u},{self.v})"
-
-
-SIGMA = ((0, -1), (1, 0))
-TAU = ((0, -1), (1, -1))
-
-
-def right_translate(N: int, u: int, v: int, m) -> tuple[int, int]:
-    """(u,v).m reduced mod N, *not* canonicalized."""
-    (a, b), (c, d) = m
-    return ((u * a + v * c) % N, (u * b + v * d) % N)
-
-
-def _lift_unit(N: int, d: int, a: int) -> int:
-    """Lift a unit a mod d (d | N) to a congruent unit mod N."""
-    if d == 1:
-        return 1
-    a %= d
-    for x in range(a, N, d):
-        if gcd(x, N) == 1:
-            return x
-    raise AssertionError("unit lift must exist")
-
-
-def p1_normalize(N: int, u: int, v: int) -> ManinSymbol:
-    """Canonical representative of the class [u : v] in P^1(Z/NZ).
-
-    Two pairs normalize equal iff they differ by a unit scalar mod N.
-    Raises ValueError unless gcd(u, v, N) = 1.
-    """
-    if N < 1:
-        raise ValueError("level must be positive")
-    if N == 1:
-        return ManinSymbol(0, 0)
-    u %= N
-    v %= N
-    if gcd(gcd(u, v), N) != 1:
-        raise ValueError(f"({u},{v}) is not a point of P^1(Z/{N}Z)")
-    g = gcd(u, N)
-    if g == N:  # u = 0: the class of (0,1)
-        return ManinSymbol(0, 1)
-    # scale by a unit s with s*u = g (mod N)
-    m = N // g
-    s = _lift_unit(N, m, pow(u // g, -1, m))
-    v0 = s * v % N
-    if g == 1:
-        return ManinSymbol(1, v0)
-    # the scalars fixing the first coordinate are the units t = 1 (mod N/g);
-    # pick the least second coordinate over that stabilizer
-    best = v0
-    for t in range(1 + m, N, m):
-        if gcd(t, N) == 1:
-            w = t * v0 % N
-            if w < best:
-                best = w
-    return ManinSymbol(g, best)
 
 
 def p1_list(N: int) -> tuple[ManinSymbol, ...]:
@@ -300,14 +241,32 @@ class SymbolSpace:
     a field builds the sparse echelon of the rows over that field and
     caches it; quotient ranks reduce their extra vectors against it
     without changing it.
+
+    The space also holds the class tables of the module docstring:
+    ``_scale[u]``, a unit s with s u = gcd(u, N) (mod N), and
+    ``_classes[g][w]``, the column of the class of (g, w) for each divisor
+    g < N, with key 0 (u = 0) mapping every w to the column of (0, 1).
+    :meth:`index` reads them; it is the engine's only P^1 classifier.
     """
 
-    def __init__(self, N: int, gens: tuple[ManinSymbol, ...], rows: tuple[tuple[tuple[int, int], ...], ...]):
+    def __init__(self, N: int, gens: tuple[ManinSymbol, ...], scale: list[int], classes: dict[int, list[int]]):
         self.N = N
         self.gens = gens
         self.gen_index = {s: i for i, s in enumerate(gens)}
-        self.relation_rows = rows
+        self._scale = scale
+        self._classes = classes
+        self.relation_rows: tuple[tuple[tuple[int, int], ...], ...] = ()  # filled in by build_space
         self._echelons: dict[int, _Echelon] = {}  # keyed by p; 0 is Q
+
+    def index(self, u: int, v: int) -> int:
+        """Column of the class of (u, v), which must be a point of P^1(Z/NZ).
+
+        Callers check gcd(u, v, N) = 1 first: for any other pair the tables
+        give -1 or an unrelated column.
+        """
+        N = self.N
+        s = self._scale[u % N]
+        return self._classes[s * u % N][s * v % N]
 
     @property
     def psi(self) -> int:
@@ -343,17 +302,20 @@ class SymbolSpace:
         return self.psi - self.rank_q
 
     def rank_mod_p(self, p: int) -> int:
-        """Rank of the relation matrix over F_p (computed once, then cached)."""
+        """Rank of the relation matrix over F_p (computed once, then cached).
+
+        Raises ValueError unless p is an odd prime.
+        """
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
         return self._echelon(p).rank
 
 
 def build_space(N: int) -> SymbolSpace:
     """Assemble the generators and one relation row per sigma and tau orbit.
 
-    Translates are classified by the class tables described in the module
-    docstring, not by :func:`p1_normalize`.  The tables live only for this
-    call; u = 0 keys the table of g = N, whose every entry is the class of
-    (0, 1).
+    Translates are classified by :meth:`SymbolSpace.index`, whose tables
+    are built here.
     """
     gens = p1_list(N)
     assert len(gens) == index_x0(N), f"P^1(Z/{N}) enumeration does not match psi"
@@ -375,13 +337,11 @@ def build_space(N: int) -> SymbolSpace:
             for t in stabilizers[g]:
                 table[t * v % N] = i
 
-    def cls(u: int, v: int) -> int:
-        s = scale[u % N]
-        return classes[s * u % N][s * v % N]
-
+    space = SymbolSpace(N, gens, scale, classes)
+    index = space.index
     # (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v)
-    sigma = [cls(v, -u) for u, v in gens]
-    tau = [cls(v, -u - v) for u, v in gens]
+    sigma = [index(v, -u) for u, v in gens]
+    tau = [index(v, -u - v) for u, v in gens]
     assert -1 not in sigma and -1 not in tau, f"a translate missed the class tables at N={N}"
     rows = []
     for i, j in enumerate(sigma):
@@ -395,7 +355,8 @@ def build_space(N: int) -> SymbolSpace:
             rows.append(((i, 3),))
         elif i < j and i < k:
             rows.append(((i, 1), (j, 1), (k, 1)) if j < k else ((i, 1), (k, 1), (j, 1)))
-    return SymbolSpace(N, gens, tuple(rows))
+    space.relation_rows = tuple(rows)
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +465,6 @@ class _Echelon:
         return len(overlay.maps[0])
 
 
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-
-
 def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[FreeVector], p: int) -> int:
     """dim over F_p of the span of the vectors' images in the quotient mod p.
 
@@ -516,9 +472,8 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[FreeVector], p: in
     tensoring with F_p is basis-free and exact; computed by reducing only
     the vectors against the cached echelon of R mod p.
     """
-    _require_odd_prime(p)
+    space.rank_mod_p(p)  # checks p; builds the echelon of R mod p once per space
     rows = space._columns(vectors)
-    space.rank_mod_p(p)  # builds the echelon of R mod p once per space
     return space._echelons[p].extra_rank(rows)
 
 

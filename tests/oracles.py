@@ -1,16 +1,16 @@
 """Slow reference implementations the engine's fast paths are tested against.
 
 These were the engine's production paths before the sparse echelon, the
-orbit enumeration of P^1, the relation build by class lookup and the
-census by translation orbits replaced them: dense fraction-free (Bareiss)
-elimination over Q, dense Gaussian elimination mod p, the P^1
-enumeration that normalizes every pair (g, v) with g | N, the relation
-build that normalizes every translate, and the census that scans every
-coefficient triple (a, b, c).
-They share no elimination or enumeration code with
+orbit enumeration of P^1, the class-table lookup and the census by
+translation orbits replaced them: dense fraction-free (Bareiss)
+elimination over Q, dense Gaussian elimination mod p, P^1 normalization
+by Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1 enumeration
+that normalizes every pair (g, v) with g | N, the relation build and the
+Hecke action that normalize every translate, and the census that scans
+every coefficient triple (a, b, c).
+They share no elimination, enumeration or classification code with
 :mod:`torsion_gate.maninspace` and no scan code with
-:mod:`torsion_gate.redux`.
-"""
+:mod:`torsion_gate.redux`."""
 
 from __future__ import annotations
 
@@ -18,8 +18,64 @@ from collections import Counter
 from typing import Iterable
 
 from torsion_gate.exactmath import PrimePower, divisors, field_make, gcd
-from torsion_gate.maninspace import SIGMA, TAU, FreeVector, ManinSymbol, SymbolSpace, p1_normalize, right_translate
+from torsion_gate.hecke import merel_matrices
+from torsion_gate.maninspace import FreeVector, ManinSymbol, SymbolSpace
 from torsion_gate.redux import BruteForceCensus
+
+
+SIGMA = ((0, -1), (1, 0))
+TAU = ((0, -1), (1, -1))
+
+
+def right_translate(N: int, u: int, v: int, m) -> tuple[int, int]:
+    """(u,v).m reduced mod N, *not* canonicalized."""
+    (a, b), (c, d) = m
+    return ((u * a + v * c) % N, (u * b + v * d) % N)
+
+
+def _lift_unit(N: int, d: int, a: int) -> int:
+    """Lift a unit a mod d (d | N) to a congruent unit mod N."""
+    if d == 1:
+        return 1
+    a %= d
+    for x in range(a, N, d):
+        if gcd(x, N) == 1:
+            return x
+    raise AssertionError("unit lift must exist")
+
+
+def p1_normalize(N: int, u: int, v: int) -> ManinSymbol:
+    """Canonical representative of the class [u : v] in P^1(Z/NZ).
+
+    Two pairs normalize equal iff they differ by a unit scalar mod N.
+    Raises ValueError unless gcd(u, v, N) = 1.
+    """
+    if N < 1:
+        raise ValueError("level must be positive")
+    if N == 1:
+        return ManinSymbol(0, 0)
+    u %= N
+    v %= N
+    if gcd(gcd(u, v), N) != 1:
+        raise ValueError(f"({u},{v}) is not a point of P^1(Z/{N}Z)")
+    g = gcd(u, N)
+    if g == N:  # u = 0: the class of (0,1)
+        return ManinSymbol(0, 1)
+    # scale by a unit s with s*u = g (mod N)
+    m = N // g
+    s = _lift_unit(N, m, pow(u // g, -1, m))
+    v0 = s * v % N
+    if g == 1:
+        return ManinSymbol(1, v0)
+    # the scalars fixing the first coordinate are the units t = 1 (mod N/g);
+    # pick the least second coordinate over that stabilizer
+    best = v0
+    for t in range(1 + m, N, m):
+        if gcd(t, N) == 1:
+            w = t * v0 % N
+            if w < best:
+                best = w
+    return ManinSymbol(g, best)
 
 
 def dense_rows(space: SymbolSpace, extra: Iterable[FreeVector] = ()) -> list[list[int]]:
@@ -144,6 +200,21 @@ def relation_rows_by_normalize(N: int) -> tuple[tuple[tuple[int, int], ...], ...
         acc[k] = acc.get(k, 0) + 1
         rows.append(tuple(sorted(acc.items())))
     return tuple(rows)
+
+
+def hecke_action_by_normalize(N: int, n: int, x: ManinSymbol) -> FreeVector:
+    """T_n(x) by Merel's translates, each normalized with :func:`p1_normalize`.
+
+    A translate with gcd(x', y', N) != 1 is omitted, as in the engine.
+    """
+    acc: dict[ManinSymbol, int] = {}
+    for m in merel_matrices(n):
+        pair = right_translate(N, x.u, x.v, ((m.a, m.b), (m.c, m.d)))
+        if gcd(gcd(*pair), N) != 1:
+            continue
+        sym = p1_normalize(N, *pair)
+        acc[sym] = acc.get(sym, 0) + 1
+    return FreeVector(acc)
 
 
 def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:

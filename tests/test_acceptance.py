@@ -21,19 +21,16 @@ from torsion_gate.hecke import (
 )
 from torsion_gate.maninspace import (
     FreeVector,
-    SIGMA,
-    TAU,
     cusp_count_x0,
     genus_x0,
     index_x0,
     p1_list,
-    p1_normalize,
     quotient_rank_mod_p,
     quotient_rank_q,
-    right_translate,
 )
 from torsion_gate.redux import admissible_traces, brute_force_census, method_a_verdict
 
+from oracles import SIGMA, TAU, p1_normalize, right_translate
 from test_hecke import MEREL_COUNTS, REFERENCE_WINDING_EXPANSIONS
 
 CASE_LEVELS = (169, 49, 25, 143, 91, 77, 55, 40, 22)

@@ -8,11 +8,12 @@ from torsion_gate.hecke import (
     generic_winding_expansion,
     hecke_action,
     hecke_action_vector,
-    independence_mod_p,
     merel_matrices,
     winding_symbol,
 )
-from torsion_gate.maninspace import FreeVector, ManinSymbol, p1_normalize, quotient_rank_q
+from torsion_gate.maninspace import FreeVector, ManinSymbol, p1_list, quotient_rank_mod_p, quotient_rank_q
+
+from oracles import hecke_action_by_normalize, p1_normalize
 
 # Reference expansions of T_n(0,1) as raw translate sums, n = 1..6.  These
 # are level-independent whenever no summand is omitted (true at any level
@@ -168,15 +169,27 @@ def test_criterion_vectors(get_space):
     ],
 )
 def test_independence_mod_p(get_space, N, p, want):
-    assert independence_mod_p(get_space(N), 3, p) is want
+    space = get_space(N)
+    assert (quotient_rank_mod_p(space, criterion_vectors(space, 3), p) == 6) is want
 
 
 def test_independence_rejects_bad_primes(get_space):
     space = get_space(169)
     with pytest.raises(ValueError):
-        independence_mod_p(space, 3, 2)
-    with pytest.raises(ValueError):
-        independence_mod_p(space, 3, 13)  # divides the level
+        quotient_rank_mod_p(space, criterion_vectors(space, 3), 2)
+
+
+def test_hecke_action_matches_normalize_oracle(get_space):
+    for N in range(1, 101):
+        space = get_space(N)
+        assert winding_symbol(N) == p1_normalize(N, 0, 1), N
+        for x in p1_list(N):
+            for n in range(1, 7):
+                assert hecke_action(space, n, x) == hecke_action_by_normalize(N, n, x), (N, n, x)
+    for N in (1001, 2431, 2911):
+        e = winding_symbol(N)
+        want = [hecke_action_by_normalize(N, n, e) for n in range(1, 7)]
+        assert criterion_vectors(get_space(N), 3) == want, N
 
 
 def test_hecke_multiplicativity_on_quotient(get_space):
@@ -193,8 +206,6 @@ def test_hecke_multiplicativity_on_quotient(get_space):
 
 def test_rank_bound_invariant(get_space):
     # span dimension never exceeds the vector count or the quotient rank
-    from torsion_gate.maninspace import quotient_rank_mod_p
-
     for N, p in ((11, 3), (22, 3), (91, 3), (169, 5)):
         space = get_space(N)
         vecs = criterion_vectors(space, 3)

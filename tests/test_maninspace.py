@@ -9,21 +9,27 @@ from torsion_gate.hecke import criterion_vectors
 from torsion_gate.maninspace import (
     FreeVector,
     ManinSymbol,
-    SIGMA,
-    TAU,
     _Echelon,
     build_space,
     cusp_count_x0,
     genus_x0,
     index_x0,
     p1_list,
-    p1_normalize,
     quotient_rank_mod_p,
     quotient_rank_q,
-    right_translate,
 )
 
-from oracles import bareiss_rank, dense_rank_mod_p, dense_rows, p1_list_by_normalize, relation_rows_by_normalize
+from oracles import (
+    SIGMA,
+    TAU,
+    bareiss_rank,
+    dense_rank_mod_p,
+    dense_rows,
+    p1_list_by_normalize,
+    p1_normalize,
+    relation_rows_by_normalize,
+    right_translate,
+)
 
 # quotient dimension 2g + c - 1, with g and c from the classical formulas
 EXPECTED_QUOTIENT_RANK = {
@@ -182,6 +188,16 @@ def test_quotient_rank_mod_p_rejects_bad_p(get_space):
         quotient_rank_mod_p(space, [], 2)
     with pytest.raises(ValueError):
         quotient_rank_mod_p(space, [], 9)
+
+
+def test_rank_mod_p_rejects_non_odd_primes():
+    # 9 used to give a rank at N = 11, and a raw pow() error at N = 13
+    for N in (11, 13):
+        space = build_space(N)
+        for p in (0, 1, 2, 4, 9):
+            with pytest.raises(ValueError, match="odd prime"):
+                space.rank_mod_p(p)
+            assert p not in space._echelons, (N, p)
 
 
 def test_quotient_rank_mod_p_rejects_foreign_symbols(get_space):
