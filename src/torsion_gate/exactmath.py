@@ -7,7 +7,8 @@ are decided by squaring, never by ``float``.
 
 Finite fields F_{p^n} are realized in a polynomial basis over an
 irreducibility-checked modulus; elements are packed base-p digit strings,
-i.e. integer indices in ``range(q)``.
+i.e. integer indices in ``range(q)``.  Bulk products go through the
+discrete-logarithm tables of ``FiniteField.log_tables``.
 """
 
 from __future__ import annotations
@@ -334,51 +335,38 @@ class FiniteField:
             shift *= p
         return out
 
-    def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.n):
-            out += (-(a % p)) % p * shift
-            a //= p
-            shift *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         prod = _pmod(_pmul(self.coeffs(a), self.coeffs(b), self.p), self.modulus, self.p)
         return self.from_coeffs(prod)
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        acc = self.one
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+    def log_tables(self) -> tuple[list[int], list[int | None]]:
+        """Discrete-logarithm tables ``(exp, log)`` of the unit group.
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
-
-    def quadratic_character(self, a: int) -> int:
-        """Quadratic character of F_q: 0 at 0, +1 on nonzero squares, -1 otherwise."""
-        if self.p == 2:
-            raise ValueError("quadratic character needs odd characteristic")
-        if a == 0:
-            return 0
-        c = self.pow(a, (self.q - 1) // 2)
-        if c == self.one:
-            return 1
-        assert c == self.from_coeffs((self.p - 1,)), "x^((q-1)/2) must be +-1"
-        return -1
+        g is the least element whose powers reach all q - 1 units;
+        ``exp[k] = g^k`` for 0 <= k < q - 1, filled by q - 2 calls to
+        :meth:`mul`, and ``log[exp[k]] = k``.  ``log[0]`` is None.  Then
+        a*b = exp[(log a + log b) % (q - 1)] for nonzero a, b.  Each
+        smaller candidate costs one walk through its powers, unless it is
+        a power of a candidate already rejected.
+        """
+        m = self.q - 1
+        non_generators = bytearray(self.q)  # powers of a non-generator generate no more
+        for g in range(1, self.q):
+            if non_generators[g]:
+                continue
+            exp = [self.one]
+            x = g
+            while x != self.one:
+                exp.append(x)
+                x = self.mul(x, g)
+            if len(exp) == m:
+                break
+            for x in exp:
+                non_generators[x] = 1
+        log: list[int | None] = [None] * self.q
+        for k, x in enumerate(exp):
+            log[x] = k
+        return exp, log
 
 
 def field_make(pp: PrimePower, modulus: tuple[int, ...] | None = None) -> FiniteField:

@@ -16,6 +16,8 @@ from torsion_gate.exactmath import (
     primes_up_to,
 )
 
+from oracles import field_inv, field_pow, field_sub, quadratic_character
+
 
 def test_factorize_examples():
     assert factorize(169).factors == ((13, 2),)
@@ -110,12 +112,12 @@ def test_field_rejects_reducible_modulus():
 
 def test_prime_field_character_is_legendre():
     f3 = field_make(PrimePower(3, 1))
-    assert [f3.quadratic_character(a) for a in range(3)] == [0, 1, -1]
+    assert [quadratic_character(f3, a) for a in range(3)] == [0, 1, -1]
     f7 = field_make(PrimePower(7, 1))
     squares = {a * a % 7 for a in range(1, 7)}
     for a in range(7):
         want = 0 if a == 0 else (1 if a in squares else -1)
-        assert f7.quadratic_character(a) == want
+        assert quadratic_character(f7, a) == want
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3)])
@@ -123,9 +125,9 @@ def test_field_axioms_exhaustive(p, n):
     f = field_make(PrimePower(p, n))
     q = f.q
     for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == f.one
+        assert f.mul(a, field_inv(f, a)) == f.one
     # quadratic character splits the nonzero elements evenly
-    chars = [f.quadratic_character(a) for a in range(q)]
+    chars = [quadratic_character(f, a) for a in range(q)]
     assert chars.count(0) == 1
     assert chars.count(1) == (q - 1) // 2
     assert chars.count(-1) == (q - 1) // 2
@@ -137,10 +139,30 @@ def test_field_arithmetic_spot_checks():
         for b in (0, 2, 7, 19):
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
-            assert f.sub(f.add(a, b), b) == a
+            assert field_sub(f, f.add(a, b), b) == a
     # distributivity sample
     for a, b, c in [(4, 9, 22), (1, 2, 3), (25, 13, 7)]:
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+ODD_PRIME_POWERS_TO_343 = [(p, n) for p in primes_up_to(343) if p > 2 for n in range(1, 6) if p**n <= 343]
+
+
+@pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)
+def test_log_tables(p, n):
+    f = field_make(PrimePower(p, n))
+    q, m = f.q, f.q - 1
+    exp, log = f.log_tables()
+    g = exp[1]
+    assert len(exp) == m and len(set(exp)) == m and 0 not in exp
+    assert log[0] is None
+    assert all(log[x] == k for k, x in enumerate(exp))
+    assert all(exp[(k + 1) % m] == f.mul(exp[k], g) for k in range(m))
+    assert all(1 - 2 * (log[x] % 2) == quadratic_character(f, x) for x in range(1, q))
+    # g is the least generator: every smaller unit has order below m
+    prime_divisors = factorize(m).primes
+    for h in range(1, g):
+        assert any(field_pow(f, h, m // r) == f.one for r in prime_divisors)
 
 
 def test_field_rejects_char2_extension():

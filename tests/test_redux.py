@@ -12,7 +12,7 @@ from torsion_gate.redux import (
     orders_divisible_by,
 )
 
-from oracles import brute_force_census_full
+from oracles import brute_force_census_by_translation, brute_force_census_full
 
 # hand-derived from Waterhouse's case list:
 #   q=3:  (1) +-1, +-2; (4) +-3; (5) 0
@@ -98,10 +98,13 @@ def test_brute_force_guards():
         brute_force_census(PrimePower(3, 6))  # 729 > 343
 
 
-ODD_PRIME_POWERS_TO_49 = [(p, n) for p in primes_up_to(49) if p > 2 for n in (1, 2, 3) if p**n <= 49]
+def odd_prime_powers(lo: int, hi: int) -> list[tuple[int, int]]:
+    """(p, n) for every odd prime power lo < p^n <= hi, in increasing q."""
+    found = [(p, n) for p in primes_up_to(hi) if p > 2 for n in range(1, 6) if lo < p**n <= hi]
+    return sorted(found, key=lambda pn: pn[0] ** pn[1])
 
 
-@pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_49)
+@pytest.mark.parametrize("p,n", odd_prime_powers(0, 49))
 def test_brute_force_matches_full_scan(p, n):
     # the orbit slices with their weights count exactly what the q^4 scan counts
     pp = PrimePower(p, n)
@@ -111,7 +114,18 @@ def test_brute_force_matches_full_scan(p, n):
     assert observed.orders == full.orders
 
 
-@pytest.mark.parametrize("p,n", [(5, 3), (3, 5)])  # q = 125 (p != 3), 243 (p = 3, odd exponent)
+# every odd q in (49, 125], which covers q = 1 and 3 (mod 4) and p = 3 at 81,
+# and q = 243, p = 3 with an odd exponent beyond 27
+@pytest.mark.parametrize("p,n", odd_prime_powers(49, 125) + [(3, 5)])
+def test_brute_force_matches_translation_scan(p, n):
+    pp = PrimePower(p, n)
+    observed = brute_force_census(pp)
+    by_translation = brute_force_census_by_translation(pp)
+    assert observed.trace_counts == by_translation.trace_counts
+    assert observed.orders == by_translation.orders
+
+
+@pytest.mark.parametrize("p,n", odd_prime_powers(0, 343))  # every field the guard allows, 343 included
 def test_brute_force_at_guard_sizes(p, n):
     pp = PrimePower(p, n)
     observed = brute_force_census(pp)
