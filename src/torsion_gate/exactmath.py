@@ -7,8 +7,11 @@ are decided by squaring, never by ``float``.
 
 Finite fields F_{p^n} are realized in a polynomial basis over an
 irreducibility-checked modulus; elements are packed base-p digit strings,
-i.e. integer indices in ``range(q)``.  Bulk products go through the
-discrete-logarithm tables of ``FiniteField.log_tables``.
+i.e. integer indices in ``range(q)``.  Bulk arithmetic goes through the
+tables of ``FiniteField.tables``: the q x q addition table, built digit
+by digit from the addition table of F_p, and the discrete-logarithm
+tables, whose walk over the powers of a generator g is one lookup per
+power in the table of the F_p-linear map a -> g a.
 """
 
 from __future__ import annotations
@@ -215,10 +218,30 @@ def _ppow_xq(f: tuple[int, ...], p: int, k: int) -> tuple[int, ...]:
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin's test for a monic polynomial over F_p."""
+    """Irreducibility of a monic polynomial over F_p.
+
+    A polynomial of degree >= 2 with a root in F_p has a linear factor,
+    so it is rejected at once; Rabin's test decides every other one.
+    """
     n = len(f) - 1
     if n < 1:
         return False
+    if n >= 2 and any(_peval(f, r, p) == 0 for r in range(p)):
+        return False
+    return _rabin(f, p)
+
+
+def _peval(f: tuple[int, ...], r: int, p: int) -> int:
+    """f(r) mod p, by Horner's rule."""
+    out = 0
+    for c in reversed(f):
+        out = (out * r + c) % p
+    return out
+
+
+def _rabin(f: tuple[int, ...], p: int) -> bool:
+    """Rabin's irreducibility test for a monic f of degree n >= 1 over F_p."""
+    n = len(f) - 1
     x = _pmod((0, 1), f, p)
     if _ptrim(tuple((a - b) % p for a, b in _zip_pad(_ppow_xq(f, p, n), x))):
         return False
@@ -270,8 +293,7 @@ class FiniteField:
 
     Elements are integer indices 0..q-1: index sum(c_i * p^i) stands for
     the coset c_0 + c_1*x + ... + c_{n-1}*x^{n-1}.  Prime-subfield
-    constants therefore embed as themselves.  Instances are immutable and
-    safe to share across threads.
+    constants therefore embed as themselves.  Instances are immutable.
     """
 
     def __init__(self, pp: PrimePower, modulus: tuple[int, ...] | None = None):
@@ -312,61 +334,86 @@ class FiniteField:
         return out
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
     def one(self) -> int:
         return 1
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # --- arithmetic ---
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.n):
-            out += (a % p + b % p) % p * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
 
     def mul(self, a: int, b: int) -> int:
         prod = _pmod(_pmul(self.coeffs(a), self.coeffs(b), self.p), self.modulus, self.p)
         return self.from_coeffs(prod)
 
-    def log_tables(self) -> tuple[list[int], list[int | None]]:
-        """Discrete-logarithm tables ``(exp, log)`` of the unit group.
+    def add_table(self) -> list[list[int]]:
+        """The q x q addition table: ``add_table()[a][b] = a + b``.
 
-        g is the least element whose powers reach all q - 1 units;
-        ``exp[k] = g^k`` for 0 <= k < q - 1, filled by q - 2 calls to
-        :meth:`mul`, and ``log[exp[k]] = k``.  ``log[0]`` is None.  Then
-        a*b = exp[(log a + log b) % (q - 1)] for nonzero a, b.  Each
-        smaller candidate costs one walk through its powers, unless it is
-        a power of a candidate already rejected.
+        Addition acts on each base-p digit alone, so the table is built
+        one digit at a time.  Given the table ``rows`` of the P = p^k
+        elements with k digits, the element a = a_lo + P a_hi with k + 1
+        digits has a + b = (a_lo + b_lo) + P ((a_hi + b_hi) mod p).  With
+        a_hi = 0 that is the row ``cat[a_lo]``, made of p blocks
+        ``rows[a_lo] + P t``, t = 0..p-1.  Adding a_hi rotates the blocks
+        by a_hi places, so the row of a is a slice of ``cat[a_lo]``
+        written twice.
         """
-        m = self.q - 1
-        non_generators = bytearray(self.q)  # powers of a non-generator generate no more
-        for g in range(1, self.q):
+        p = self.p
+        rows = [[0]]
+        size = 1  # P = p^k
+        for _ in range(self.n):
+            width = size * p
+            cat = [[s + size * t for t in range(p) for s in lo] * 2 for lo in rows]
+            rows = [cat[lo][size * hi : size * hi + width] for hi in range(p) for lo in range(size)]
+            size = width
+        return rows
+
+    def tables(self) -> tuple[list[list[int]], list[int], list[int | None]]:
+        """The addition table and the discrete-logarithm tables ``(add, exp, log)``.
+
+        ``add`` is :meth:`add_table`.  g is the least element whose powers
+        reach all q - 1 units; ``exp[k] = g^k`` for 0 <= k < q - 1 and
+        ``log[exp[k]] = k``; ``log[0]`` is None.  Then a*b =
+        exp[(log a + log b) % (q - 1)] for nonzero a, b.
+
+        Multiplication by a candidate g is F_p-linear, so its table over
+        all of F_q is built digit by digit, like the addition table, from
+        the images g x^i (n - 1 calls to :meth:`mul`) and their multiples
+        by 0..p-1 (lookups in ``add``).  Each power of g is then one
+        lookup.  A candidate is skipped when it is a power of one already
+        rejected, since its powers generate no more.
+        """
+        add = self.add_table()
+        p, q, m = self.p, self.q, self.q - 1
+        non_generators = bytearray(q)
+        for g in range(1, q):
             if non_generators[g]:
                 continue
-            exp = [self.one]
+            image = g
+            times_g = [0]  # times_g[a] = g a, for a < p^i
+            for i in range(self.n):
+                if i:
+                    image = self.mul(image, p)  # g x^i = (g x^(i-1)) x, and x has index p
+                multiples = [0]
+                for _ in range(1, p):
+                    multiples.append(add[multiples[-1]][image])
+                times_g = [add[t][s] for t in multiples for s in times_g]
+            exp = [1]
             x = g
-            while x != self.one:
+            for _ in range(m):  # in a field the order of g divides m
+                if x == 1:
+                    break
                 exp.append(x)
-                x = self.mul(x, g)
+                x = times_g[x]
+            else:
+                raise RuntimeError(f"the powers of {g} never return to 1: {self.modulus} is reducible")
             if len(exp) == m:
                 break
             for x in exp:
                 non_generators[x] = 1
-        log: list[int | None] = [None] * self.q
+        else:
+            raise RuntimeError(f"no generator of the units: {self.modulus} is reducible")
+        log: list[int | None] = [None] * q
         for k, x in enumerate(exp):
             log[x] = k
-        return exp, log
+        return add, exp, log
 
 
 def field_make(pp: PrimePower, modulus: tuple[int, ...] | None = None) -> FiniteField:

@@ -8,10 +8,10 @@ by Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1 enumeration
 that normalizes every pair (g, v) with g | N, the relation build and the
 Hecke action that normalize every translate, the census that scans
 every coefficient triple (a, b, c), the census by translation orbits
-alone, and the finite-field operations (powers, inverses, negation,
-subtraction and the quadratic character by Euler's criterion) that the
-census no longer needs now that it multiplies through discrete
-logarithms.
+alone, the finite-field operations (addition, powers, inverses,
+negation, subtraction and the quadratic character by Euler's criterion)
+that the census no longer needs now that it adds and multiplies through
+tables, and the search for a default modulus by Rabin's test alone.
 They share no elimination, enumeration or classification code with
 :mod:`torsion_gate.maninspace` and no scan code with
 :mod:`torsion_gate.redux`."""
@@ -19,9 +19,10 @@ They share no elimination, enumeration or classification code with
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from typing import Iterable
 
-from torsion_gate.exactmath import FiniteField, PrimePower, divisors, field_make, gcd
+from torsion_gate.exactmath import _DEFAULT_MODULI, FiniteField, PrimePower, _rabin, divisors, field_make, gcd
 from torsion_gate.hecke import merel_matrices
 from torsion_gate.maninspace import FreeVector, ManinSymbol, SymbolSpace
 from torsion_gate.redux import BRUTE_FORCE_MAX_Q, BruteForceCensus
@@ -221,6 +222,19 @@ def hecke_action_by_normalize(N: int, n: int, x: ManinSymbol) -> FreeVector:
     return FreeVector(acc)
 
 
+def field_add(F: FiniteField, a: int, b: int) -> int:
+    """a + b in F, digit by digit."""
+    p = F.p
+    out = 0
+    shift = 1
+    for _ in range(F.n):
+        out += (a % p + b % p) % p * shift
+        a //= p
+        b //= p
+        shift *= p
+    return out
+
+
 def field_neg(F: FiniteField, a: int) -> int:
     """-a in F, digit by digit."""
     p = F.p
@@ -234,7 +248,7 @@ def field_neg(F: FiniteField, a: int) -> int:
 
 
 def field_sub(F: FiniteField, a: int, b: int) -> int:
-    return F.add(a, field_neg(F, b))
+    return field_add(F, a, field_neg(F, b))
 
 
 def field_pow(F: FiniteField, a: int, e: int) -> int:
@@ -268,6 +282,21 @@ def quadratic_character(F: FiniteField, a: int) -> int:
     return -1
 
 
+def default_modulus_by_rabin(p: int, n: int) -> tuple[int, ...]:
+    """The default modulus of F_{p^n}: pinned, else the first monic
+    irreducible polynomial in lexicographic coefficient order, each
+    candidate decided by Rabin's test alone."""
+    if n == 1:
+        return (0, 1)
+    if (p, n) in _DEFAULT_MODULI:
+        return _DEFAULT_MODULI[(p, n)]
+    for digits in product(range(p), repeat=n):  # c_0 varies slowest, c_{n-1} fastest
+        f = digits + (1,)
+        if _rabin(f, p):
+            return f
+    raise AssertionError("an irreducible polynomial of every degree exists")
+
+
 def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
     """Count points on every curve y^2 = x^3 + a x^2 + b x + c over F_q.
 
@@ -296,7 +325,7 @@ def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
         raise ValueError(f"census guard: q = {q} exceeds {BRUTE_FORCE_MAX_Q}")
     F = field_make(pp)
     rng = range(q)
-    add = [[F.add(a, b) for b in rng] for a in rng]
+    add = [[field_add(F, a, b) for b in rng] for a in rng]
     mul = [[F.mul(a, b) for b in rng] for a in rng]
     chi = [quadratic_character(F, a) for a in rng]
     sq = [mul[x][x] for x in rng]
@@ -344,7 +373,7 @@ def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:
     q = pp.q
     F = field_make(pp)
     rng = range(q)
-    add = [[F.add(a, b) for b in rng] for a in rng]
+    add = [[field_add(F, a, b) for b in rng] for a in rng]
     mul = [[F.mul(a, b) for b in rng] for a in rng]
     chi = [quadratic_character(F, a) for a in rng]
     sq = [mul[x][x] for x in rng]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from torsion_gate.exactmath import (
     Factorization,
     PrimePower,
+    _is_irreducible,
     divisors,
     euler_phi,
     factorize,
@@ -16,7 +18,7 @@ from torsion_gate.exactmath import (
     primes_up_to,
 )
 
-from oracles import field_inv, field_pow, field_sub, quadratic_character
+from oracles import default_modulus_by_rabin, field_add, field_inv, field_pow, field_sub, quadratic_character
 
 
 def test_factorize_examples():
@@ -137,22 +139,49 @@ def test_field_arithmetic_spot_checks():
     f = field_make(PrimePower(3, 3))
     for a in (0, 1, 5, 13, 26):
         for b in (0, 2, 7, 19):
-            assert f.add(a, b) == f.add(b, a)
+            assert field_add(f, a, b) == field_add(f, b, a)
             assert f.mul(a, b) == f.mul(b, a)
-            assert field_sub(f, f.add(a, b), b) == a
+            assert field_sub(f, field_add(f, a, b), b) == a
     # distributivity sample
     for a, b, c in [(4, 9, 22), (1, 2, 3), (25, 13, 7)]:
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.mul(a, field_add(f, b, c)) == field_add(f, f.mul(a, b), f.mul(a, c))
 
 
 ODD_PRIME_POWERS_TO_343 = [(p, n) for p in primes_up_to(343) if p > 2 for n in range(1, 6) if p**n <= 343]
+
+
+def _mobius(n: int) -> int:
+    fac = factorize(n)
+    return 0 if not fac.is_squarefree else (-1) ** len(fac)
+
+
+@pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)
+def test_irreducible_count_is_gauss(p, n):
+    # the monic irreducibles of degree n over F_p number (1/n) sum_{d | n} mu(d) p^(n/d)
+    accepted = sum(_is_irreducible(digits + (1,), p) for digits in product(range(p), repeat=n))
+    assert n * accepted == sum(_mobius(d) * p ** (n // d) for d in divisors(n))
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n in ODD_PRIME_POWERS_TO_343 if n > 1])
+def test_default_modulus_matches_rabin_search(p, n):
+    assert field_make(PrimePower(p, n)).modulus == default_modulus_by_rabin(p, n)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n in ODD_PRIME_POWERS_TO_343 if p**n <= 125 or p**n in (243, 343)])
+def test_add_table_matches_field_add(p, n):
+    f = field_make(PrimePower(p, n))
+    q = f.q
+    add = f.add_table()
+    assert len(add) == q
+    for a in range(q):
+        assert add[a] == [field_add(f, a, b) for b in range(q)]
 
 
 @pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)
 def test_log_tables(p, n):
     f = field_make(PrimePower(p, n))
     q, m = f.q, f.q - 1
-    exp, log = f.log_tables()
+    _, exp, log = f.tables()
     g = exp[1]
     assert len(exp) == m and len(set(exp)) == m and 0 not in exp
     assert log[0] is None
@@ -163,6 +192,15 @@ def test_log_tables(p, n):
     prime_divisors = factorize(m).primes
     for h in range(1, g):
         assert any(field_pow(f, h, m // r) == f.one for r in prime_divisors)
+
+
+def test_tables_stop_on_reducible_modulus():
+    # __init__ rejects such a modulus; were one to slip through, a zero divisor's powers
+    # would cycle without reaching 1, and the walk must stop instead of growing forever
+    f = field_make(PrimePower(3, 2))
+    f.modulus = (2, 0, 1)  # x^2 - 1 = (x-1)(x+1)
+    with pytest.raises(RuntimeError, match="reducible"):
+        f.tables()
 
 
 def test_field_rejects_char2_extension():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from torsion_gate.cli import canonical_json
 from torsion_gate.exactmath import PrimePower, primes_up_to
 from torsion_gate.redux import (
     JACOBIAN_FINITE_FACTS,
@@ -133,6 +136,15 @@ def test_brute_force_at_guard_sizes(p, n):
     assert sum(observed.trace_counts.values()) == pp.q**3 - pp.q**2  # the nonsingular monic cubics
     for t, count in observed.trace_counts.items():
         assert observed.trace_counts[-t] == count
+
+
+def test_brute_force_census_pinned_at_guard():
+    # No oracle reaches q = 343 in test time (the translation scan would take minutes), so the
+    # census there is pinned.  The digest was computed at commit 71ff555, before the census
+    # built its addition, log and character tables by digit-wise and linear lookups.
+    observed = brute_force_census(PrimePower(7, 3))
+    digest = hashlib.sha256(canonical_json(sorted(observed.trace_counts.items())).encode()).hexdigest()
+    assert digest == "8015c529b5335b13b3f43d66c5bf0fa8b83a1522902a342161460ef681d92d41"
 
 
 def test_jacobian_facts_table():
