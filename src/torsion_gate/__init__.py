@@ -30,7 +30,6 @@ from .hecke import (
     winding_symbol,
 )
 from .maninspace import (
-    FreeVector,
     ManinSymbol,
     SymbolSpace,
     build_space,
@@ -39,7 +38,6 @@ from .maninspace import (
     index_x0,
     p1_list,
     quotient_rank_mod_p,
-    quotient_rank_q,
 )
 from .redux import (
     BruteForceCensus,
@@ -61,7 +59,6 @@ __all__ = [
     "ConditionEvidence",
     "Factorization",
     "FiniteField",
-    "FreeVector",
     "GONALITY",
     "GateReport",
     "GonalityTables",
@@ -94,7 +91,6 @@ __all__ = [
     "orders_divisible_by",
     "p1_list",
     "quotient_rank_mod_p",
-    "quotient_rank_q",
     "t3_divisibility",
     "t4_coprimality",
     "verify_cyclic_exclusion",

@@ -19,13 +19,7 @@ import time
 from .exactmath import PrimePower, factorize
 from .gate import ConditionEvidence, GateReport, verify_cyclic_exclusion
 from .hecke import generic_winding_expansion, hecke_action, winding_symbol
-from .maninspace import (
-    build_space,
-    cusp_count_x0,
-    genus_x0,
-    index_x0,
-    render_terms,
-)
+from .maninspace import build_space, cusp_count_x0, genus_x0
 from .redux import BRUTE_FORCE_MAX_Q, admissible_traces, brute_force_census, orders_divisible_by
 
 __all__ = ["CASE_LEVELS", "canonical_json", "main"]
@@ -106,6 +100,21 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+def render_terms(terms) -> str:
+    """Compact rendering like ``2(0,1)+(1,2)-(1,0)``; terms must be presorted."""
+    if not terms:
+        return "0"
+    parts = []
+    for sym, c in terms:
+        mag = "" if abs(c) == 1 else str(abs(c))
+        body = f"{mag}({sym[0]},{sym[1]})"
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("-" if c < 0 else "+") + body)
+    return "".join(parts)
+
+
 def _report_lines(report: GateReport) -> list[str]:
     lines = [f"cyclic torsion Z/{report.N}Z over degree-{report.d} fields"]
     lines += [f"  {e}" for e in report.evidence]
@@ -173,7 +182,7 @@ def cmd_hecke(args) -> int:
     vec = hecke_action(space, args.n, winding_symbol(args.N))
     elapsed = (time.monotonic_ns() - t0) // 1_000_000
     raw_str = render_terms(raw)
-    can_str = str(vec)
+    can_str = render_terms([(space.gens[k], c) for k, c in sorted(vec.items())])
     ev = ConditionEvidence(
         "hecke-winding-image",
         True,

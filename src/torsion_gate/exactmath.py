@@ -82,13 +82,6 @@ class Factorization:
         return len(self.factors)
 
     @property
-    def value(self) -> int:
-        out = 1
-        for q, e in self.factors:
-            out *= q**e
-        return out
-
-    @property
     def primes(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.factors)
 
@@ -332,10 +325,6 @@ class FiniteField:
         for c in reversed(cs):
             out = out * p + c
         return out
-
-    @property
-    def one(self) -> int:
-        return 1
 
     # --- arithmetic ---
 

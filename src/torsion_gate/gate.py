@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 
 from .exactmath import factorize, gcd, is_prime, primes_up_to
 from .hecke import criterion_vectors
-from .maninspace import FreeVector, SymbolSpace, build_space, quotient_rank_mod_p
+from .maninspace import SymbolSpace, build_space, quotient_rank_mod_p
 
 __all__ = [
     "ConditionEvidence",
@@ -321,7 +321,7 @@ def find_witness_prime(
     fac = factorize(N)
     squarefree_composite = fac.is_squarefree and len(fac) >= 2
     space: SymbolSpace | None = None
-    vectors: list[FreeVector] = []
+    vectors: list[dict[int, int]] = []
 
     for p in _candidate_primes(N, p_max):
         hasse = hasse_gate(N, p, d)

@@ -9,10 +9,13 @@ omitting any translate whose reduction mod N fails gcd(x',y',N) = 1
 (Merel, "Universal Fourier expansions of modular forms", Prop. 20).
 Each kept translate is classified by :meth:`SymbolSpace.index`, the
 class-table lookup the relation build uses, so the engine has one P^1
-classifier.  The distinguished symbol (0,1) is the class of the modular
-symbol {0, oo}; the vectors T_1(0,1), ..., T_{2d}(0,1) feed the
-Kamienny-style independence test, which the gate runs through
-:func:`~torsion_gate.maninspace.quotient_rank_mod_p`.
+classifier, and T_n(x) comes out as a column row: a dict from generator
+column to the number of translates in that class.  The distinguished
+symbol (0,1) is the class of the modular symbol {0, oo}; the rows
+T_1(0,1), ..., T_{2d}(0,1) feed the Kamienny-style independence test,
+which the gate runs through
+:func:`~torsion_gate.maninspace.quotient_rank_mod_p`.  Only the rank mod
+p of these rows is engine code; their rank over Q is test-only.
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exactmath import gcd
-from .maninspace import FreeVector, ManinSymbol, SymbolSpace
+from .maninspace import ManinSymbol, SymbolSpace
 
 __all__ = [
     "MerelMatrix",
     "criterion_vectors",
     "generic_winding_expansion",
     "hecke_action",
-    "hecke_action_vector",
     "merel_matrices",
     "winding_symbol",
 ]
@@ -77,28 +79,20 @@ def winding_symbol(N: int) -> ManinSymbol:
     return ManinSymbol(0, 0) if N == 1 else ManinSymbol(0, 1)
 
 
-def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> FreeVector:
-    """T_n applied to one canonical symbol, as a canonical FreeVector."""
+def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
+    """T_n applied to one canonical symbol, as a column row of ``space``."""
     N = space.N
     if x not in space.gen_index:
         raise ValueError(f"{x} is not a canonical symbol at level {N}")
-    acc: dict[ManinSymbol, int] = {}
+    acc: dict[int, int] = {}
     for m in merel_matrices(n):
         up = (x.u * m.a + x.v * m.c) % N
         vp = (x.u * m.b + x.v * m.d) % N
         if gcd(gcd(up, vp), N) != 1:
             continue  # omission rule: translate left P^1(Z/NZ)
-        sym = space.gens[space.index(up, vp)]
-        acc[sym] = acc.get(sym, 0) + 1
-    return FreeVector(acc)
-
-
-def hecke_action_vector(space: SymbolSpace, n: int, vec: FreeVector) -> FreeVector:
-    """Linear extension of ``hecke_action`` to sparse vectors."""
-    out = FreeVector()
-    for sym, c in vec:
-        out = out + c * hecke_action(space, n, sym)
-    return out
+        col = space.index(up, vp)
+        acc[col] = acc.get(col, 0) + 1
+    return acc
 
 
 def generic_winding_expansion(N: int, n: int) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -117,8 +111,8 @@ def generic_winding_expansion(N: int, n: int) -> tuple[tuple[tuple[int, int], in
     return tuple(sorted(acc.items()))
 
 
-def criterion_vectors(space: SymbolSpace, d: int) -> list[FreeVector]:
-    """The 2d vectors T_1(0,1), ..., T_{2d}(0,1) at the space's level."""
+def criterion_vectors(space: SymbolSpace, d: int) -> list[dict[int, int]]:
+    """The 2d column rows T_1(0,1), ..., T_{2d}(0,1) at the space's level."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     e = winding_symbol(space.N)

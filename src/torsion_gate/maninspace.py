@@ -11,10 +11,16 @@ echelon (Stein, "Modular Forms: A Computational Approach", ch. 8): the
 relation rows are added one at a time, two-term rows first, each reduced
 against the rows kept so far; over Q the rows stay primitive integer
 vectors, so no fractions arise.  A space builds the echelon once per
-field and keeps it.  Linear independence in the quotient is always
-phrased as an augmented-rank difference, never through an extracted
-basis, so no choice of generators for the quotient ever enters: the
-extra vectors are reduced against the kept echelon on an overlay.
+field and keeps it.
+
+Vectors are column rows: dicts from a generator's column (its index in
+the sorted ``SymbolSpace.gens``) to a nonzero coefficient.  Linear
+independence of column rows in the quotient mod p is phrased as an
+augmented-rank difference, never through an extracted basis, so no
+choice of generators for the quotient ever enters: the extra rows are
+reduced against the kept echelon on an overlay.  The engine needs this
+extra rank only mod p, for the Hecke check; the extra rank over Q is
+test-only and lives with the dense oracles of the tests.
 
 The canonical representative of a class of P^1(Z/NZ) is its
 lexicographically least member, which has first coordinate gcd(u, N)
@@ -39,7 +45,6 @@ from typing import Iterable, Mapping, MutableMapping, NamedTuple
 from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
 
 __all__ = [
-    "FreeVector",
     "ManinSymbol",
     "SymbolSpace",
     "build_space",
@@ -48,8 +53,6 @@ __all__ = [
     "index_x0",
     "p1_list",
     "quotient_rank_mod_p",
-    "quotient_rank_q",
-    "render_terms",
 ]
 
 
@@ -140,94 +143,6 @@ def genus_x0(N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sparse integer vectors over the symbol generators
-# ---------------------------------------------------------------------------
-
-
-class FreeVector:
-    """Sparse integer combination of canonical Manin symbols.
-
-    Zero coefficients are never stored; keys are expected to be canonical
-    at one fixed level (enforced where a vector meets a SymbolSpace).
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[ManinSymbol, int] | Iterable[tuple[ManinSymbol, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[ManinSymbol, int] = {}
-        for sym, c in items:
-            c = acc.get(sym, 0) + c
-            if c:
-                acc[sym] = c
-            else:
-                acc.pop(sym, None)
-        self._coeffs = acc
-
-    def coefficient(self, sym: ManinSymbol) -> int:
-        return self._coeffs.get(sym, 0)
-
-    def terms(self) -> tuple[tuple[ManinSymbol, int], ...]:
-        return tuple(sorted(self._coeffs.items()))
-
-    def __iter__(self):
-        return iter(self.terms())
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeVector) and self._coeffs == other._coeffs
-
-    def __add__(self, other: "FreeVector") -> "FreeVector":
-        out = dict(self._coeffs)
-        for sym, c in other._coeffs.items():
-            s = out.get(sym, 0) + c
-            if s:
-                out[sym] = s
-            else:
-                out.pop(sym, None)
-        return FreeVector(out)
-
-    def __sub__(self, other: "FreeVector") -> "FreeVector":
-        return self + (-1) * other
-
-    def __mul__(self, k: int) -> "FreeVector":
-        if k == 0:
-            return FreeVector()
-        return FreeVector({sym: k * c for sym, c in self._coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FreeVector":
-        return (-1) * self
-
-    def __repr__(self) -> str:
-        return f"FreeVector({self})"
-
-    def __str__(self) -> str:
-        return render_terms(self.terms())
-
-
-def render_terms(terms) -> str:
-    """Compact rendering like ``2(0,1)+(1,2)-(1,0)``; terms must be presorted."""
-    if not terms:
-        return "0"
-    parts = []
-    for sym, c in terms:
-        mag = "" if abs(c) == 1 else str(abs(c))
-        body = f"{mag}({sym[0]},{sym[1]})"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
-    return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # the symbol space and its relation matrix
 # ---------------------------------------------------------------------------
 
@@ -239,8 +154,8 @@ class SymbolSpace:
     generators (x + x.sigma, or 2x when sigma fixes x; x + x.tau + x.tau^2,
     or 3x when tau fixes x), so no row repeats.  The first rank query over
     a field builds the sparse echelon of the rows over that field and
-    caches it; quotient ranks reduce their extra vectors against it
-    without changing it.
+    caches it; quotient ranks reduce their extra column rows against
+    it without changing it.
 
     The space also holds the class tables of the module docstring:
     ``_scale[u]``, a unit s with s u = gcd(u, N) (mod N), and
@@ -277,19 +192,6 @@ class SymbolSpace:
         if ech is None:
             ech = self._echelons[p] = _Echelon(p, self.relation_rows)
         return ech
-
-    def _columns(self, vectors: Iterable[FreeVector]) -> list[list[tuple[int, int]]]:
-        """Vectors as sparse rows over the generator columns."""
-        out = []
-        for vec in vectors:
-            row = []
-            for sym, c in vec:
-                idx = self.gen_index.get(sym)
-                if idx is None:
-                    raise ValueError(f"symbol {sym} is not canonical at level {self.N}")
-                row.append((idx, c))
-            out.append(row)
-        return out
 
     @property
     def rank_q(self) -> int:
@@ -465,20 +367,22 @@ class _Echelon:
         return len(overlay.maps[0])
 
 
-def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[FreeVector], p: int) -> int:
+def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]], p: int) -> int:
     """dim over F_p of the span of the vectors' images in the quotient mod p.
 
-    Equal to rank_{F_p}([R; V]) - rank_{F_p}(R), which by right-exactness of
-    tensoring with F_p is basis-free and exact; computed by reducing only
-    the vectors against the cached echelon of R mod p.
+    Each vector is a column row, a mapping from generator column to
+    coefficient.  Equal to rank_{F_p}([R; V]) - rank_{F_p}(R), which by
+    right-exactness of tensoring with F_p is basis-free and exact;
+    computed by reducing only the vectors against the cached echelon of
+    R mod p.  Raises ValueError for a column outside range(psi): such a
+    key would become a pivot of its own and inflate the rank.
     """
     space.rank_mod_p(p)  # checks p; builds the echelon of R mod p once per space
-    rows = space._columns(vectors)
+    columns = range(space.psi)
+    rows = []
+    for vec in vectors:
+        for k in vec:
+            if k not in columns:
+                raise ValueError(f"column {k!r} is not a generator at level {space.N}")
+        rows.append(vec.items())
     return space._echelons[p].extra_rank(rows)
-
-
-def quotient_rank_q(space: SymbolSpace, vectors: Iterable[FreeVector]) -> int:
-    """dim over Q of the span of the vectors' images in the quotient."""
-    rows = space._columns(vectors)
-    space.rank_q  # builds the echelon of R over Q once per space
-    return space._echelons[0].extra_rank(rows)

@@ -12,6 +12,10 @@ alone, the finite-field operations (addition, powers, inverses,
 negation, subtraction and the quadratic character by Euler's criterion)
 that the census no longer needs now that it adds and multiplies through
 tables, and the search for a default modulus by Rabin's test alone.
+Beside them sit the helpers only tests need, on the engine's column
+rows: the rank over Q of extra rows in the quotient
+(:func:`quotient_rank_q`, by Bareiss; the engine needs that rank only
+mod p), the symbol view of a row and linear combinations of rows.
 They share no elimination, enumeration or classification code with
 :mod:`torsion_gate.maninspace` and no scan code with
 :mod:`torsion_gate.redux`."""
@@ -24,7 +28,7 @@ from typing import Iterable
 
 from torsion_gate.exactmath import _DEFAULT_MODULI, FiniteField, PrimePower, _rabin, divisors, field_make, gcd
 from torsion_gate.hecke import merel_matrices
-from torsion_gate.maninspace import FreeVector, ManinSymbol, SymbolSpace
+from torsion_gate.maninspace import ManinSymbol, SymbolSpace
 from torsion_gate.redux import BRUTE_FORCE_MAX_Q, BruteForceCensus
 
 
@@ -83,8 +87,8 @@ def p1_normalize(N: int, u: int, v: int) -> ManinSymbol:
     return ManinSymbol(g, best)
 
 
-def dense_rows(space: SymbolSpace, extra: Iterable[FreeVector] = ()) -> list[list[int]]:
-    """The distinct relation rows of ``space``, then ``extra``, as dense integer rows."""
+def dense_rows(space: SymbolSpace, extra: Iterable[dict[int, int]] = ()) -> list[list[int]]:
+    """The distinct relation rows of ``space``, then the column rows ``extra``, as dense integer rows."""
     out = []
     for row in dict.fromkeys(space.relation_rows):
         dense = [0] * space.psi
@@ -93,10 +97,29 @@ def dense_rows(space: SymbolSpace, extra: Iterable[FreeVector] = ()) -> list[lis
         out.append(dense)
     for vec in extra:
         dense = [0] * space.psi
-        for sym, c in vec:
-            dense[space.gen_index[sym]] = c
+        for col, c in vec.items():
+            dense[col] = c
         out.append(dense)
     return out
+
+
+def quotient_rank_q(space: SymbolSpace, vectors: list[dict[int, int]]) -> int:
+    """dim over Q of the span of the column rows' images in the quotient, by Bareiss."""
+    return bareiss_rank(dense_rows(space, vectors)) - bareiss_rank(dense_rows(space))
+
+
+def symbol_view(space: SymbolSpace, row: dict[int, int]) -> dict[ManinSymbol, int]:
+    """A column row keyed by the symbols its columns stand for."""
+    return {space.gens[col]: c for col, c in row.items()}
+
+
+def row_combination(scaled_rows: Iterable[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """The column row sum of c * row over (c, row) pairs, zero entries dropped."""
+    acc: dict[int, int] = {}
+    for c, row in scaled_rows:
+        for col, x in row.items():
+            acc[col] = acc.get(col, 0) + c * x
+    return {col: x for col, x in acc.items() if x}
 
 
 def bareiss_rank(rows: list[list[int]]) -> int:
@@ -207,7 +230,7 @@ def relation_rows_by_normalize(N: int) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(rows)
 
 
-def hecke_action_by_normalize(N: int, n: int, x: ManinSymbol) -> FreeVector:
+def hecke_action_by_normalize(N: int, n: int, x: ManinSymbol) -> dict[ManinSymbol, int]:
     """T_n(x) by Merel's translates, each normalized with :func:`p1_normalize`.
 
     A translate with gcd(x', y', N) != 1 is omitted, as in the engine.
@@ -219,7 +242,7 @@ def hecke_action_by_normalize(N: int, n: int, x: ManinSymbol) -> FreeVector:
             continue
         sym = p1_normalize(N, *pair)
         acc[sym] = acc.get(sym, 0) + 1
-    return FreeVector(acc)
+    return acc
 
 
 def field_add(F: FiniteField, a: int, b: int) -> int:
@@ -253,7 +276,7 @@ def field_sub(F: FiniteField, a: int, b: int) -> int:
 
 def field_pow(F: FiniteField, a: int, e: int) -> int:
     """a^e in F (e >= 0) by square-and-multiply."""
-    acc = F.one
+    acc = 1
     base = a
     while e:
         if e & 1:
@@ -276,7 +299,7 @@ def quadratic_character(F: FiniteField, a: int) -> int:
     if a == 0:
         return 0
     c = field_pow(F, a, (F.q - 1) // 2)
-    if c == F.one:
+    if c == 1:
         return 1
     assert c == F.from_coeffs((F.p - 1,)), "x^((q-1)/2) must be +-1"
     return -1

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from torsion_gate import cli
+from torsion_gate.maninspace import ManinSymbol
+
+from oracles import hecke_action_by_normalize
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -92,6 +95,23 @@ def test_hecke_output(capsys):
     code, out = run_cli(capsys, "hecke", "--N", "2", "--n", "2")
     assert code == 0
     assert "2(0,1)+(1,0)" in out
+
+
+@pytest.mark.parametrize("N", (169, 1001, 2431))
+def test_hecke_canonical_form_matches_normalize_oracle(capsys, N):
+    # the canonical form is rendered in column order; p1_list is sorted, so
+    # that must be the symbol order of the oracle's terms
+    for n in range(1, 7):
+        code, out = run_cli(capsys, "hecke", "--N", str(N), "--n", str(n), "--format", "json")
+        assert code == 0
+        want = cli.render_terms(sorted(hecke_action_by_normalize(N, n, ManinSymbol(0, 1)).items()))
+        assert json.loads(out)["expansion"]["canonical"] == want, (N, n)
+
+
+def test_render_terms():
+    assert cli.render_terms([((0, 1), 2), ((1, 2), 1)]) == "2(0,1)+(1,2)"
+    assert cli.render_terms([((0, 1), -2), ((1, 2), -1)]) == "-2(0,1)-(1,2)"
+    assert cli.render_terms([]) == "0"
 
 
 def test_hecke_index_guard(capsys):
