@@ -7,39 +7,42 @@ H_1(X_0(N), cusps; Z).  Symbols act on the right:
 tau = [[0,-1],[1,-1]].
 
 Ranks are computed exactly, over Q and over F_p, by one sparse row
-echelon (Stein, "Modular Forms: A Computational Approach", ch. 8): the
-relation rows are added one at a time, two-term rows first, each reduced
-against the rows kept so far; over Q the rows stay primitive integer
-vectors, so no fractions arise.  A space builds the echelon once per
-field and keeps it.
+echelon (Stein, "Modular Forms: A Computational Approach", ch. 8) after
+Stein's quotient by the two-term relations: a sigma pair i < j gives
+x_i := -x_j, and a sigma-fixed x_i gives 2 x_i = 0, so x_i := 0 over Q
+and over F_p, p odd.  The relation rank is the number of sigma orbits
+plus the echelon rank of the substituted three-term rows; over Q the
+echelon's rows stay primitive, so no fractions arise.  A space builds
+the echelon once per field and keeps it.
 
 Vectors are column rows: dicts from a generator's column (its index in
 the sorted ``SymbolSpace.gens``) to a nonzero coefficient.  Linear
 independence of column rows in the quotient mod p is phrased as an
 augmented-rank difference, never through an extracted basis, so no
 choice of generators for the quotient ever enters: the extra rows are
-reduced against the kept echelon on an overlay.  The engine needs this
-extra rank only mod p, for the Hecke check; the extra rank over Q is
-test-only and lives with the dense oracles of the tests.
+substituted the same way and reduced against the kept echelon on an
+overlay.  The engine needs this extra rank only mod p, for the Hecke
+check; the extra rank over Q is test-only and lives with the dense
+oracles of the tests.
 
 The canonical representative of a class of P^1(Z/NZ) is its
-lexicographically least member, which has first coordinate gcd(u, N)
-(the divisor-canonical scheme of Stein's Algorithm 8.29).  The engine
-classifies by table lookup, never by normalizing a pair; Algorithm 8.29's
-normalization lives on only as the reference the tests compare against.
-For each divisor g < N the build marks, for every generator (g, v), the
-orbit of v under the units t = 1 (mod N/g), so that ``classes[g][w]`` is
-the class of (g, w); a pair (u, v) is scaled by a unit s with
-s u = gcd(u, N) (mod N) and read off as (g, s v).
-:meth:`SymbolSpace.index` is that lookup; the relation build and the
-Hecke translates both use it.  The relation build emits each relation
-once, per sigma orbit and per tau orbit, as Stein does (ch. 8).
+lexicographically least member, which has first coordinate g = gcd(u, N)
+(the divisor-canonical scheme of Stein's Algorithm 8.29).  For g < N,
+(g, v) ~ (g, v') exactly when v = v' (mod m = N/g), since the scalars
+fixing g are the units t = 1 (mod m).  So ``classes[g][w]``, the class of
+(g, w), has period m, and a pair (u, v) is read off as (g, s v) for any s
+with s u = g (mod N), an inverse of u/g mod m.  The engine classifies by
+that lookup, :meth:`SymbolSpace.index`, never by normalizing a pair;
+Algorithm 8.29's normalization lives on only as the reference the tests
+compare against.  The relation build emits each relation once, per
+sigma orbit and per tau orbit, as Stein does (ch. 8).
 """
 
 from __future__ import annotations
 
 from collections import ChainMap
 from heapq import heapify, heappop, heappush
+from itertools import compress, repeat
 from typing import Iterable, Mapping, MutableMapping, NamedTuple
 
 from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
@@ -69,11 +72,10 @@ class ManinSymbol(NamedTuple):
 def p1_list(N: int) -> tuple[ManinSymbol, ...]:
     """All canonical representatives of P^1(Z/NZ), sorted; length psi(N).
 
-    Every class has a member (g, v) with g = gcd(u, N) dividing N, and
-    (g, v) ~ (g, v') exactly when v' = t v for a unit t = 1 (mod N/g), the
-    scalars fixing g.  So for each g the classes are the orbits of that
-    group on the v with gcd(g, v) = 1, and the least v of each orbit gives
-    the canonical (lexicographically least) representative.
+    Every class has a member (g, v) with g = gcd(u, N) dividing N.  For
+    g < N the classes are the residues w mod m = N/g with gcd(w, g, m) = 1
+    (module docstring), each represented by its least lift w + km coprime
+    to g.
     """
     if N < 1:
         raise ValueError("level must be positive")
@@ -82,14 +84,16 @@ def p1_list(N: int) -> tuple[ManinSymbol, ...]:
     out = [ManinSymbol(0, 1)]  # g = N: the class of (0, 1)
     for g in divisors(N)[:-1]:
         m = N // g
-        stabilizer = [t for t in range(1, N, m) if gcd(t, N) == 1]
-        seen = bytearray(N)
-        for v in range(N):
-            if seen[v] or gcd(g, v) != 1:
-                continue
-            out.append(ManinSymbol(g, v))  # ascending g, then v: already sorted
-            for t in stabilizer:
-                seen[t * v % N] = 1
+        h = gcd(g, m)
+        lifts = range(m) if h == 1 else [w for w in range(m) if gcd(w, h) == 1]
+        if g > 1:
+            lifts = list(lifts)
+            for i, w in enumerate(lifts):
+                while gcd(w, g) != 1:
+                    w += m
+                lifts[i] = w
+            lifts.sort()
+        out.extend(map(ManinSymbol, repeat(g), lifts))  # ascending g, then v: sorted
     return tuple(out)
 
 
@@ -152,32 +156,37 @@ class SymbolSpace:
 
     There is one row per orbit of sigma and one per orbit of tau on the
     generators (x + x.sigma, or 2x when sigma fixes x; x + x.tau + x.tau^2,
-    or 3x when tau fixes x), so no row repeats.  The first rank query over
-    a field builds the sparse echelon of the rows over that field and
-    caches it; quotient ranks reduce their extra column rows against
-    it without changing it.
+    or 3x when tau fixes x), so no row repeats; the sigma rows come first.
+    The first rank query over a field builds the sparse echelon of the
+    tau rows over the sigma quotient (module docstring) and caches it;
+    quotient ranks reduce their substituted extra rows against it.
 
     The space also holds the class tables of the module docstring:
-    ``_scale[u]``, a unit s with s u = gcd(u, N) (mod N), and
-    ``_classes[g][w]``, the column of the class of (g, w) for each divisor
-    g < N, with key 0 (u = 0) mapping every w to the column of (0, 1).
-    :meth:`index` reads them; it is the engine's only P^1 classifier.
+    ``_scale[u]``, an s with s u = g = gcd(u, N) (mod N), and
+    ``_classes[g][w]``, the column of (g, w), with key 0 (u = 0) mapping
+    every w to the column of (0, 1).  :meth:`index` reads them; it is the
+    engine's only P^1 classifier.  ``_sigma[i]`` is the column of gens[i].sigma.
     """
 
-    def __init__(self, N: int, gens: tuple[ManinSymbol, ...], scale: list[int], classes: dict[int, list[int]]):
+    def __init__(self, N: int, gens: tuple[ManinSymbol, ...], scale: list[int], classes: dict[int, list[int]],
+                 sigma: list[int], sigma_rows: list[tuple[tuple[int, int], ...]],
+                 tau_rows: list[tuple[tuple[int, int], ...]]):
         self.N = N
         self.gens = gens
         self.gen_index = {s: i for i, s in enumerate(gens)}
         self._scale = scale
         self._classes = classes
-        self.relation_rows: tuple[tuple[tuple[int, int], ...], ...] = ()  # filled in by build_space
+        self._sigma = sigma
+        self._sigma_orbits = len(sigma_rows)
+        self._tau_rows = tau_rows
+        self.relation_rows = tuple(sigma_rows + tau_rows)
         self._echelons: dict[int, _Echelon] = {}  # keyed by p; 0 is Q
 
     def index(self, u: int, v: int) -> int:
-        """Column of the class of (u, v), which must be a point of P^1(Z/NZ).
+        """Column of the class of (u, v), looked up as (g, s v) mod N/g; see the module docstring.
 
-        Callers check gcd(u, v, N) = 1 first: for any other pair the tables
-        give -1 or an unrelated column.
+        (u, v) must be a point of P^1(Z/NZ): callers check gcd(u, v, N) = 1
+        first, since for any other pair the tables give -1 or an unrelated column.
         """
         N = self.N
         s = self._scale[u % N]
@@ -187,16 +196,32 @@ class SymbolSpace:
     def psi(self) -> int:
         return len(self.gens)
 
+    def _on_sigma_quotient(self, row: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """``row`` with x_i := -x_j for each sigma pair i < j and x_i := 0 for each sigma-fixed i.
+
+        The larger column of a pair stays: the echelon then fills in far less.
+        """
+        sigma = self._sigma
+        out: dict[int, int] = {}
+        for k, c in row:
+            j = sigma[k]
+            if j > k:
+                out[j] = out.get(j, 0) - c
+            elif j < k:
+                out[k] = out.get(k, 0) + c
+        return out
+
     def _echelon(self, p: int) -> _Echelon:
         ech = self._echelons.get(p)
         if ech is None:
-            ech = self._echelons[p] = _Echelon(p, self.relation_rows)
+            rows = [self._on_sigma_quotient(row).items() for row in self._tau_rows]
+            ech = self._echelons[p] = _Echelon(p, rows)
         return ech
 
     @property
     def rank_q(self) -> int:
         """Rank of the relation matrix over Q (computed once, then cached)."""
-        return self._echelon(0).rank
+        return self._sigma_orbits + self._echelon(0).rank
 
     @property
     def quotient_rank(self) -> int:
@@ -210,55 +235,49 @@ class SymbolSpace:
         """
         if p == 2 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
-        return self._echelon(p).rank
+        return self._sigma_orbits + self._echelon(p).rank
 
 
 def build_space(N: int) -> SymbolSpace:
-    """Assemble the generators and one relation row per sigma and tau orbit.
-
-    Translates are classified by :meth:`SymbolSpace.index`, whose tables
-    are built here.
-    """
+    """Assemble the generators (from :func:`p1_list`), the class tables and one relation row per orbit."""
     gens = p1_list(N)
-    assert len(gens) == index_x0(N), f"P^1(Z/{N}) enumeration does not match psi"
-    divs = divisors(N)
-    scale = [0] * N  # scale[u]: a unit s with s u = gcd(u, N) (mod N)
-    for x in range(N):
-        if gcd(x, N) == 1:
-            y = pow(x, -1, N)
-            for g in divs:
-                scale[g * x % N] = y
-    classes = {0: [0] * N}  # keyed by gcd(u, N) mod N; -1 marks no class yet
-    stabilizers = {}
-    for g in divs[:-1]:
-        classes[g] = [-1] * N
-        stabilizers[g] = [t for t in range(1, N, N // g) if gcd(t, N) == 1]
-    for i, (g, v) in enumerate(gens):
-        if g:
-            table = classes[g]
-            for t in stabilizers[g]:
-                table[t * v % N] = i
+    psi = len(gens)
+    assert psi == index_x0(N), f"P^1(Z/{N}) enumeration does not match psi"
+    primes = [q for q, _ in factorize(N)]
+    scale = [0] * N  # scale[g x] = x^-1 mod N/g, for x a unit mod N/g
+    columns = {}  # columns[g][w]: the column of (g, w), for w mod N/g
+    for g in divisors(N)[:-1]:
+        m = N // g
+        unit = bytearray(b"\1") * m
+        for q in primes:
+            if m % q == 0:
+                unit[::q] = bytes(m // q)
+        for x in compress(range(m), unit):
+            scale[g * x] = pow(x, -1, m)
+        columns[g] = [-1] * m  # -1 marks a residue that is no class
+    for i, (g, v) in enumerate(gens[1:], 1):
+        columns[g][v % (N // g)] = i
+    classes = {g: table * g for g, table in columns.items()}  # keyed by gcd(u, N) mod N
+    classes[0] = [0] * N
 
-    space = SymbolSpace(N, gens, scale, classes)
-    index = space.index
-    # (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v)
-    sigma = [index(v, -u) for u, v in gens]
-    tau = [index(v, -u - v) for u, v in gens]
+    # (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v): one scale, one table
+    sigma = [0] * psi
+    tau = [0] * psi
+    for i, (u, v) in enumerate(gens):
+        s = scale[v]
+        table = classes[s * v % N]
+        sigma[i] = table[-s * u % N]
+        tau[i] = table[-s * (u + v) % N]
     assert -1 not in sigma and -1 not in tau, f"a translate missed the class tables at N={N}"
-    rows = []
-    for i, j in enumerate(sigma):
-        if i < j:
-            rows.append(((i, 1), (j, 1)))
-        elif i == j:
-            rows.append(((i, 2),))
-        j = tau[i]
+    sigma_rows = [((i, 1), (j, 1)) if i < j else ((i, 2),) for i, j in enumerate(sigma) if i <= j]
+    tau_rows = []
+    for i, j in enumerate(tau):
         k = tau[j]
         if i == j:  # tau fixes the class, so the orbit is {i}
-            rows.append(((i, 3),))
+            tau_rows.append(((i, 3),))
         elif i < j and i < k:
-            rows.append(((i, 1), (j, 1), (k, 1)) if j < k else ((i, 1), (k, 1), (j, 1)))
-    space.relation_rows = tuple(rows)
-    return space
+            tau_rows.append(((i, 1), (j, 1), (k, 1)) if j < k else ((i, 1), (k, 1), (j, 1)))
+    return SymbolSpace(N, gens, scale, classes, sigma, sigma_rows, tau_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +392,10 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
     Each vector is a column row, a mapping from generator column to
     coefficient.  Equal to rank_{F_p}([R; V]) - rank_{F_p}(R), which by
     right-exactness of tensoring with F_p is basis-free and exact;
-    computed by reducing only the vectors against the cached echelon of
-    R mod p.  Raises ValueError for a column outside range(psi): such a
-    key would become a pivot of its own and inflate the rank.
+    computed by substituting the vectors onto the sigma quotient and
+    reducing only them against the cached echelon of the tau rows mod p.
+    Raises ValueError for a column outside range(psi): such a key would
+    become a pivot of its own and inflate the rank.
     """
     space.rank_mod_p(p)  # checks p; builds the echelon of R mod p once per space
     columns = range(space.psi)
@@ -384,5 +404,5 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
         for k in vec:
             if k not in columns:
                 raise ValueError(f"column {k!r} is not a generator at level {space.N}")
-        rows.append(vec.items())
+        rows.append(space._on_sigma_quotient(vec.items()).items())
     return space._echelons[p].extra_rank(rows)

@@ -189,7 +189,8 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     The scan costs at most 5 q^2 steps (7 q^2 for p = 3).  Sums come
     from the addition table and products from the discrete-logarithm
     tables, so no q x q multiplication table is built.  The table
-    chi_add[c][v] = chi(c + v) is built once, and a slice (a, b) fixes
+    chi_add[c][v] = chi(c + v) is built once, q/p of its rows through
+    chi and the rest as their rotations, and a slice (a, b) fixes
     the values v(x) = x^3 + a x^2 + b x, so the character sum of each c
     is one C-level pick of the entries v(x) from row c.
     """
@@ -207,7 +208,11 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
         return exp[(log[a] + log[b]) % m] if a and b else 0
 
     chi = [0] + [(-1) ** log[x] for x in range(1, q)]
-    chi_add = [list(map(chi.__getitem__, row)) for row in add]  # chi_add[c][v] = chi(c + v)
+    # chi_add[c][v] = chi(c + v).  With P = q/p, adding P hi adds hi to the top
+    # digit alone, so row lo + P hi is row lo, written twice, from place P hi.
+    P = q // pp.p
+    twice = [list(map(chi.__getitem__, add[lo])) * 2 for lo in range(P)]
+    chi_add = [row[P * hi : P * hi + q] for hi in range(pp.p) for row in twice]
     sq = [mul(x, x) for x in rng]
     cube = [mul(x, sq[x]) for x in rng]
     # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2,

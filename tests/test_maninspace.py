@@ -91,8 +91,30 @@ def test_p1_list_matches_index_formula():
 
 
 def test_p1_list_matches_normalize_oracle():
-    for N in [*range(1, 301), 1001, 2431]:
+    # at 1000 some primes divide g but not N/g, so the least lift of a residue
+    # mod N/g is not always the residue itself; at 2187 = 3^7 none do, but
+    # every g < N keeps only the residues prime to 3
+    for N in [*range(1, 301), 1000, 1001, 2187, 2431]:
         assert p1_list(N) == p1_list_by_normalize(N), N
+
+
+def test_index_matches_normalize_oracle():
+    # every point of P^1(Z/NZ) for N <= 120, then a seeded sample at large levels
+    for N in range(1, 121):
+        space = build_space(N)
+        for u in range(N):
+            for v in range(N):
+                if gcd(gcd(u, v), N) == 1:
+                    assert space.index(u, v) == space.gen_index[p1_normalize(N, u, v)], (N, u, v)
+    for N in (1000, 2187, 2431):
+        space = build_space(N)
+        rng = random.Random(N)
+        checked = 0
+        while checked < 2000:
+            u, v = rng.randrange(N), rng.randrange(N)
+            if gcd(gcd(u, v), N) == 1:
+                assert space.index(u, v) == space.gen_index[p1_normalize(N, u, v)], (N, u, v)
+                checked += 1
 
 
 def test_p1_list_entries_are_canonical_and_distinct():
@@ -153,6 +175,19 @@ def test_ranks_match_dense_oracles(N):
         base = dense_rank_mod_p(dense_rows(space), p)
         assert quotient_rank_mod_p(space, vectors, p) == dense_rank_mod_p(dense_rows(space, vectors), p) - base
         assert space.rank_mod_p(p) == base
+
+
+@pytest.mark.parametrize("N", [13, 91, 243, 389, 1001, 1169, 1271, 2431, 2653, 2911])
+def test_sigma_quotient_matches_generic_echelon(N, get_space):
+    # 13 and 389 have sigma-fixed points, 13 and 91 tau-fixed ones, whose
+    # row 3x vanishes mod 3
+    space = get_space(N)
+    vectors = criterion_vectors(space, 3)
+    assert space.rank_q == _Echelon(0, space.relation_rows).rank
+    for p in (3, 5, 7):
+        generic = _Echelon(p, space.relation_rows)
+        assert space.rank_mod_p(p) == generic.rank, p
+        assert quotient_rank_mod_p(space, vectors, p) == generic.extra_rank(vec.items() for vec in vectors), p
 
 
 def test_echelon_matches_dense_oracles_on_random_matrices():
