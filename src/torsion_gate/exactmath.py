@@ -16,8 +16,8 @@ power in the table of the F_p-linear map a -> g a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt  # noqa: F401  re-exported: isqrt is exact for ints
+from typing import NamedTuple
 
 __all__ = [
     "Factorization",
@@ -62,18 +62,39 @@ def primes_up_to(limit: int) -> list[int]:
     return [k for k in range(limit + 1) if sieve[k]]
 
 
-@dataclass(frozen=True)
 class Factorization:
-    """Ordered prime factorization: ((q_1, e_1), ..., (q_n, e_n)), q_j increasing."""
+    """Ordered prime factorization: ((q_1, e_1), ..., (q_n, e_n)), q_j increasing.
 
-    factors: tuple[tuple[int, int], ...]
+    Immutable; equal and hashed by its factors.  Not a tuple, since it
+    iterates over and counts its factors.
+    """
 
-    def __post_init__(self) -> None:
-        primes = [q for q, _ in self.factors]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
+        primes = [q for q, _ in factors]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("factors must be strictly increasing primes")
-        if any(e < 1 for _, e in self.factors) or not all(is_prime(q) for q in primes):
+        if any(e < 1 for _, e in factors) or not all(is_prime(q) for q in primes):
             raise ValueError("invalid factorization")
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"Factorization(factors={self.factors!r})"
 
     def __iter__(self):
         return iter(self.factors)
@@ -130,18 +151,22 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """q = p^n with p prime (checked) and n >= 1."""
-
+class _PrimePowerFields(NamedTuple):
     p: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 1:
+
+class PrimePower(_PrimePowerFields):
+    """q = p^n with p prime (checked) and n >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, n: int) -> PrimePower:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if n < 1:
             raise ValueError("exponent must be >= 1")
+        return super().__new__(cls, p, n)
 
     @property
     def q(self) -> int:

@@ -22,8 +22,7 @@ torsion occurs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .exactmath import factorize, gcd, is_prime, primes_up_to
 from .hecke import criterion_vectors
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConditionEvidence:
+class ConditionEvidence(NamedTuple):
     """One checked condition with the exact integers behind the verdict."""
 
     name: str
@@ -119,8 +117,7 @@ def _flat(table: Mapping[int, tuple[int, ...]]) -> frozenset[int]:
     return frozenset(n for row in table.values() for n in row)
 
 
-@dataclass(frozen=True)
-class GonalityTables:
+class GonalityTables(NamedTuple):
     """Levels of gonality <= d, for d = 1, 2, 3, per curve family.
 
     Sets are cumulative: the degree-d set contains every level whose
@@ -264,23 +261,43 @@ def t4_coprimality(N: int, p: int, d: int) -> ConditionEvidence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WitnessPrime:
+class WitnessPrime(NamedTuple):
     p: int
     method: str  # "T3" or "T4"
     evidence: list[ConditionEvidence]
 
 
-@dataclass
 class GateReport:
-    """Structured verdict for one (N, d) pair with its full evidence chain."""
+    """Structured verdict for one (N, d) pair with its full evidence chain.
 
-    N: int
-    d: int
-    outcome: str  # excluded-T3 | excluded-T4 | excluded-methodA | inconclusive
-    witness_prime: int | None
-    evidence: list[ConditionEvidence] = field(default_factory=list)
-    elapsed_ms: int = 0
+    Each report gets its own ``evidence`` list unless one is passed.
+    """
+
+    __slots__ = ("N", "d", "outcome", "witness_prime", "evidence", "elapsed_ms")
+
+    def __init__(
+        self,
+        N: int,
+        d: int,
+        outcome: str,
+        witness_prime: int | None,
+        evidence: list[ConditionEvidence] | None = None,
+        elapsed_ms: int = 0,
+    ) -> None:
+        self.N = N
+        self.d = d
+        self.outcome = outcome  # excluded-T3 | excluded-T4 | excluded-methodA | inconclusive
+        self.witness_prime = witness_prime
+        self.evidence = [] if evidence is None else evidence
+        self.elapsed_ms = elapsed_ms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "GateReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     @property
     def excluded(self) -> bool:

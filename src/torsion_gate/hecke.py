@@ -82,7 +82,7 @@ def winding_symbol(N: int) -> ManinSymbol:
 def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
     """T_n applied to one canonical symbol, as a column row of ``space``."""
     N = space.N
-    if x not in space.gen_index:
+    if not (gcd(gcd(x.u, x.v), N) == 1 and space.gens[space.index(x.u, x.v)] == x):
         raise ValueError(f"{x} is not a canonical symbol at level {N}")
     acc: dict[int, int] = {}
     for m in merel_matrices(n):

@@ -29,21 +29,21 @@ The canonical representative of a class of P^1(Z/NZ) is its
 lexicographically least member, which has first coordinate g = gcd(u, N)
 (the divisor-canonical scheme of Stein's Algorithm 8.29).  For g < N,
 (g, v) ~ (g, v') exactly when v = v' (mod m = N/g), since the scalars
-fixing g are the units t = 1 (mod m).  So ``classes[g][w]``, the class of
-(g, w), has period m, and a pair (u, v) is read off as (g, s v) for any s
-with s u = g (mod N), an inverse of u/g mod m.  The engine classifies by
-that lookup, :meth:`SymbolSpace.index`, never by normalizing a pair;
-Algorithm 8.29's normalization lives on only as the reference the tests
-compare against.  The relation build emits each relation once, per
-sigma orbit and per tau orbit, as Stein does (ch. 8).
+fixing g are the units t = 1 (mod m).  So the class of (g, w) is
+``classes[g][w mod m]``, from a table of length m, and a pair (u, v) is
+read off as (g, s v) for any s with s u = g (mod N), an inverse of u/g
+mod m.  The engine classifies by that lookup, :meth:`SymbolSpace.index`,
+never by normalizing a pair; Algorithm 8.29's normalization lives on only
+as the reference the tests compare against.  The relation build emits
+each relation once, per sigma orbit and per tau orbit, as Stein does
+(ch. 8).
 """
 
 from __future__ import annotations
 
-from collections import ChainMap
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
-from typing import Iterable, Mapping, MutableMapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
 
@@ -163,9 +163,9 @@ class SymbolSpace:
 
     The space also holds the class tables of the module docstring:
     ``_scale[u]``, an s with s u = g = gcd(u, N) (mod N), and
-    ``_classes[g][w]``, the column of (g, w), with key 0 (u = 0) mapping
-    every w to the column of (0, 1).  :meth:`index` reads them; it is the
-    engine's only P^1 classifier.  ``_sigma[i]`` is the column of gens[i].sigma.
+    ``_classes[g][w mod N/g]``, the column of (g, w), with key 0 (u = 0)
+    a one-entry table, the column of (0, 1).  :meth:`index` reads them; it
+    is the engine's only P^1 classifier.  ``_sigma[i]`` is the column of gens[i].sigma.
     """
 
     def __init__(self, N: int, gens: tuple[ManinSymbol, ...], scale: list[int], classes: dict[int, list[int]],
@@ -173,7 +173,6 @@ class SymbolSpace:
                  tau_rows: list[tuple[tuple[int, int], ...]]):
         self.N = N
         self.gens = gens
-        self.gen_index = {s: i for i, s in enumerate(gens)}
         self._scale = scale
         self._classes = classes
         self._sigma = sigma
@@ -190,7 +189,8 @@ class SymbolSpace:
         """
         N = self.N
         s = self._scale[u % N]
-        return self._classes[s * u % N][s * v % N]
+        table = self._classes[s * u % N]
+        return table[s * v % len(table)]
 
     @property
     def psi(self) -> int:
@@ -245,7 +245,7 @@ def build_space(N: int) -> SymbolSpace:
     assert psi == index_x0(N), f"P^1(Z/{N}) enumeration does not match psi"
     primes = [q for q, _ in factorize(N)]
     scale = [0] * N  # scale[g x] = x^-1 mod N/g, for x a unit mod N/g
-    columns = {}  # columns[g][w]: the column of (g, w), for w mod N/g
+    classes = {}  # classes[g][w]: the column of (g, w), for w mod N/g; keyed by gcd(u, N) mod N
     for g in divisors(N)[:-1]:
         m = N // g
         unit = bytearray(b"\1") * m
@@ -254,11 +254,10 @@ def build_space(N: int) -> SymbolSpace:
                 unit[::q] = bytes(m // q)
         for x in compress(range(m), unit):
             scale[g * x] = pow(x, -1, m)
-        columns[g] = [-1] * m  # -1 marks a residue that is no class
+        classes[g] = [-1] * m  # -1 marks a residue that is no class
     for i, (g, v) in enumerate(gens[1:], 1):
-        columns[g][v % (N // g)] = i
-    classes = {g: table * g for g, table in columns.items()}  # keyed by gcd(u, N) mod N
-    classes[0] = [0] * N
+        classes[g][v % (N // g)] = i
+    classes[0] = [0]  # u = 0 mod N: every (0, w) in P^1 is the class of (0, 1)
 
     # (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v): one scale, one table
     sigma = [0] * psi
@@ -266,8 +265,9 @@ def build_space(N: int) -> SymbolSpace:
     for i, (u, v) in enumerate(gens):
         s = scale[v]
         table = classes[s * v % N]
-        sigma[i] = table[-s * u % N]
-        tau[i] = table[-s * (u + v) % N]
+        m = len(table)
+        sigma[i] = table[-s * u % m]
+        tau[i] = table[-s * (u + v) % m]
     assert -1 not in sigma and -1 not in tau, f"a translate missed the class tables at N={N}"
     sigma_rows = [((i, 1), (j, 1)) if i < j else ((i, 2),) for i, j in enumerate(sigma) if i <= j]
     tau_rows = []
@@ -349,7 +349,7 @@ class _Echelon:
         for row in sorted(rows, key=len):
             self._add(self.pivots, row)
 
-    def _add(self, pivots: MutableMapping[int, dict[int, int]], row: Iterable[tuple[int, int]]) -> None:
+    def _add(self, pivots: dict[int, dict[int, int]], row: Iterable[tuple[int, int]]) -> None:
         """Add ``row`` to the echelon rows ``pivots`` unless it lies in their span."""
         p = self.p
         v = {}
@@ -380,10 +380,10 @@ class _Echelon:
 
     def extra_rank(self, rows: Iterable[Iterable[tuple[int, int]]]) -> int:
         """dim of the span of ``rows`` modulo the row space of the echelon."""
-        overlay = ChainMap({}, self.pivots)
+        overlay = dict(self.pivots)  # the stored rows are never mutated, so a shallow copy is safe
         for row in rows:
             self._add(overlay, row)
-        return len(overlay.maps[0])
+        return len(overlay) - len(self.pivots)
 
 
 def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]], p: int) -> int:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import torsion_gate
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 ENGINE_MODULES = ("cli", "exactmath", "gate", "hecke", "maninspace", "redux")
 
 
@@ -21,3 +25,21 @@ def test_star_import():
     namespace: dict = {}
     exec("from torsion_gate import *", namespace)
     assert set(torsion_gate.__all__) <= set(namespace)
+
+
+def test_cold_import_generates_no_code():
+    # Every CLI call starts a fresh interpreter; dataclasses (with inspect,
+    # ast and dis behind it) would cost it more than most commands compute.
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from torsion_gate import cli\n"
+        "cli.build_parser()\n"
+        "print(cli.__file__)\n"
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", child, str(SRC)], capture_output=True, text=True, timeout=60, check=True
+    )
+    cli_file, loaded = proc.stdout.split("\n")[:2]
+    assert Path(cli_file).resolve().parent == SRC / "torsion_gate"
+    assert loaded == ""

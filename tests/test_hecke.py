@@ -147,9 +147,17 @@ def test_hecke_omission_rule_at_level_two(get_space):
 
 
 def test_hecke_action_rejects_noncanonical_symbol(get_space):
-    space = get_space(169)
-    with pytest.raises(ValueError):
-        hecke_action(space, 2, ManinSymbol(0, 2))
+    cases = [
+        (169, (0, 2)),  # the class of (0, 1)
+        (3, (2, 1)),  # the class of (1, 2)
+        (169, (13, 14)),  # the class of (13, 1)
+        (169, (13, 13)),  # not a point of P^1
+        (169, (169, 1)),  # u >= N
+    ]
+    for N, (u, v) in cases:
+        space = get_space(N)
+        with pytest.raises(ValueError):
+            hecke_action(space, 2, ManinSymbol(u, v))
 
 
 def test_t1_is_identity_on_winding_symbol(get_space):
