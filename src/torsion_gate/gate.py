@@ -22,9 +22,9 @@ torsion occurs.
 from __future__ import annotations
 
 import time
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .exactmath import factorize, gcd, is_prime, primes_up_to
+from .exactmath import factorize, gcd, is_prime
 from .hecke import criterion_vectors
 from .maninspace import SymbolSpace, build_space, quotient_rank_mod_p
 
@@ -313,8 +313,9 @@ class GateReport:
         }
 
 
-def _candidate_primes(N: int, p_max: int) -> list[int]:
-    return [p for p in primes_up_to(p_max) if p > 2 and N % p != 0]
+def _candidate_primes(N: int, p_max: int) -> Iterator[int]:
+    """The odd primes p <= p_max not dividing N, ascending, generated one at a time."""
+    return (p for p in range(3, p_max + 1, 2) if N % p and is_prime(p))
 
 
 def find_witness_prime(
@@ -326,9 +327,10 @@ def find_witness_prime(
     """Least odd prime p <= p_max certifying exclusion via T3 or T4 conditions.
 
     Candidates are tested in ascending order and the search stops at the
-    first pass.  The symbol space and its criterion vectors are built at
-    most once, when the first candidate reaches the Hecke check.  An empty
-    result is *not* a disproof.
+    first pass, or at the first Hasse failure, after which none can pass.
+    The symbol space and its criterion vectors are built at most once,
+    when the first candidate reaches the Hecke check.  An empty result is
+    *not* a disproof.
     """
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
@@ -343,7 +345,7 @@ def find_witness_prime(
     for p in _candidate_primes(N, p_max):
         hasse = hasse_gate(N, p, d)
         if not hasse.passed:
-            continue
+            break  # (1 + sqrt(p^d))^2 grows with p, so no later candidate passes
         # Prefer the squarefree-composite route: its coprimality condition
         # is the one stated for such levels; fall back to the prime-power
         # divisibility route, which applies to any N.

@@ -2,18 +2,22 @@
 
 The free Z-module on P^1(Z/NZ), modulo the two-term relations x + x.sigma
 and the three-term relations x + x.tau + x.tau^2, presents
-H_1(X_0(N), cusps; Z).  Symbols act on the right:
+H_1(X_0(N), cusps; Z) up to torsion.  Symbols act on the right:
 (u,v).[[a,b],[c,d]] = (ua+vc, ub+vd), with sigma = [[0,-1],[1,0]] and
-tau = [[0,-1],[1,-1]].
+tau = [[0,-1],[1,-1]].  A symbol x fixed by tau would enter only as the
+row 3x and survive mod 3 as torsion, so its row is x itself, as in the
+integral presentation (Merel, "Universal Fourier expansions of modular
+forms", 1994; Stein, "Modular Forms: A Computational Approach", ch. 8).
+A symbol fixed by sigma keeps the row 2x, which already kills it over
+Q and over F_p, p odd.  The quotient then has no odd torsion, so its
+rank over F_p equals its rank over Q for every odd prime p.
 
-Ranks are computed exactly, over Q and over F_p, by one sparse row
-echelon (Stein, "Modular Forms: A Computational Approach", ch. 8) after
-Stein's quotient by the two-term relations: a sigma pair i < j gives
-x_i := -x_j, and a sigma-fixed x_i gives 2 x_i = 0, so x_i := 0 over Q
-and over F_p, p odd.  The relation rank is the number of sigma orbits
-plus the echelon rank of the substituted three-term rows; over Q the
-echelon's rows stay primitive, so no fractions arise.  A space builds
-the echelon once per field and keeps it.
+Ranks are computed exactly over F_p, p odd, by one sparse row echelon
+(Stein, ch. 8) after Stein's quotient by the two-term relations: a sigma
+pair i < j gives x_i := -x_j, and a sigma-fixed x_i gives x_i := 0.  The
+relation rank is the number of sigma orbits plus the echelon rank of the
+substituted three-term rows.  A space builds the echelon once per prime
+and keeps it; the rank over Q is read off the echelon mod 3.
 
 Vectors are column rows: dicts from a generator's column (its index in
 the sorted ``SymbolSpace.gens``) to a nonzero coefficient.  Linear
@@ -21,9 +25,7 @@ independence of column rows in the quotient mod p is phrased as an
 augmented-rank difference, never through an extracted basis, so no
 choice of generators for the quotient ever enters: the extra rows are
 substituted the same way and reduced against the kept echelon on an
-overlay.  The engine needs this extra rank only mod p, for the Hecke
-check; the extra rank over Q is test-only and lives with the dense
-oracles of the tests.
+overlay.
 
 The canonical representative of a class of P^1(Z/NZ) is its
 lexicographically least member, which has first coordinate g = gcd(u, N)
@@ -156,10 +158,12 @@ class SymbolSpace:
 
     There is one row per orbit of sigma and one per orbit of tau on the
     generators (x + x.sigma, or 2x when sigma fixes x; x + x.tau + x.tau^2,
-    or 3x when tau fixes x), so no row repeats; the sigma rows come first.
-    The first rank query over a field builds the sparse echelon of the
-    tau rows over the sigma quotient (module docstring) and caches it;
-    quotient ranks reduce their substituted extra rows against it.
+    or x when tau fixes x), so no row repeats; the sigma rows come first.
+    Ranks are taken over F_p only: the first rank query mod p builds the
+    sparse echelon of the tau rows over the sigma quotient (module
+    docstring) and caches it; quotient ranks reduce their substituted
+    extra rows against it.  Since the presentation has no odd torsion,
+    :attr:`rank_q` is the rank mod 3.
 
     The space also holds the class tables of the module docstring:
     ``_scale[u]``, an s with s u = g = gcd(u, N) (mod N), and
@@ -179,7 +183,7 @@ class SymbolSpace:
         self._sigma_orbits = len(sigma_rows)
         self._tau_rows = tau_rows
         self.relation_rows = tuple(sigma_rows + tau_rows)
-        self._echelons: dict[int, _Echelon] = {}  # keyed by p; 0 is Q
+        self._echelons: dict[int, _Echelon] = {}  # keyed by p
 
     def index(self, u: int, v: int) -> int:
         """Column of the class of (u, v), looked up as (g, s v) mod N/g; see the module docstring.
@@ -220,8 +224,8 @@ class SymbolSpace:
 
     @property
     def rank_q(self) -> int:
-        """Rank of the relation matrix over Q (computed once, then cached)."""
-        return self._sigma_orbits + self._echelon(0).rank
+        """Rank of the relation matrix over Q, which equals its rank mod 3 (module docstring)."""
+        return self.rank_mod_p(3)
 
     @property
     def quotient_rank(self) -> int:
@@ -274,7 +278,7 @@ def build_space(N: int) -> SymbolSpace:
     for i, j in enumerate(tau):
         k = tau[j]
         if i == j:  # tau fixes the class, so the orbit is {i}
-            tau_rows.append(((i, 3),))
+            tau_rows.append(((i, 1),))
         elif i < j and i < k:
             tau_rows.append(((i, 1), (j, 1), (k, 1)) if j < k else ((i, 1), (k, 1), (j, 1)))
     return SymbolSpace(N, gens, scale, classes, sigma, sigma_rows, tau_rows)
@@ -286,13 +290,12 @@ def build_space(N: int) -> SymbolSpace:
 
 
 def _reduce(pivots: Mapping[int, dict[int, int]], v: dict[int, int], p: int) -> int | None:
-    """Reduce ``v`` in place against ``pivots``; return its new leading column.
+    """Reduce ``v`` in place mod p against ``pivots``; return its new leading column.
 
     Columns are cleared in increasing order until the least remaining one
     has no pivot row: then ``v`` is independent of the rows and that column
-    is its leading column.  None means ``v`` lies in their span.  Over Q
-    (p = 0) a leading coefficient a != 1 is cleared by scaling ``v``, so
-    entries stay integers; over F_p every leading coefficient is 1.
+    is its leading column.  None means ``v`` lies in their span.  Every
+    pivot row has leading coefficient 1.
     """
     heap = list(v)
     heapify(heap)
@@ -304,39 +307,29 @@ def _reduce(pivots: Mapping[int, dict[int, int]], v: dict[int, int], p: int) -> 
         row = pivots.get(c)
         if row is None:
             return c
-        a = row[c]
-        if a != 1:
-            g = gcd(a, f)
-            f //= g
-            if a != g:
-                for k in v:
-                    v[k] *= a // g
         del v[c]
         for k, y in row.items():
             if k == c:
                 continue
             x = v.get(k)
             if x is None:
-                x = -f * y
+                v[k] = -f * y % p  # nonzero: f and y are units mod p
                 heappush(heap, k)
             else:
-                x -= f * y
-            if p:
-                x %= p
-            if x:
-                v[k] = x
-            else:
-                del v[k]
+                x = (x - f * y) % p
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
     return None
 
 
 class _Echelon:
-    """Sparse row echelon form of the relation rows over Q (p = 0) or F_p.
+    """Sparse row echelon form of the relation rows over F_p.
 
     Each row is a dict column -> coefficient stored under its leading
-    (least) column: with leading coefficient 1 over F_p, and as a
-    primitive integer row over Q, so no fractions arise.  Built once and
-    never changed afterwards; :meth:`extra_rank` works on an overlay.
+    (least) column, with leading coefficient 1.  Built once and never
+    changed afterwards; :meth:`extra_rank` works on an overlay.
     """
 
     __slots__ = ("p", "pivots")
@@ -354,24 +347,15 @@ class _Echelon:
         p = self.p
         v = {}
         for k, x in row:
-            if p:
-                x %= p
+            x %= p
             if x:
                 v[k] = x
         c = _reduce(pivots, v, p)
         if c is None:
             return
-        if p:
+        if v[c] != 1:
             inv = pow(v[c], -1, p)
             v = {k: x * inv % p for k, x in v.items()}
-        else:  # primitive, with a positive leading coefficient
-            g = 0
-            for x in v.values():
-                g = gcd(g, x)
-            if v[c] < 0:
-                g = -g
-            if g != 1:
-                v = {k: x // g for k, x in v.items()}
         pivots[c] = v
 
     @property

@@ -204,7 +204,8 @@ def relation_rows_by_normalize(N: int) -> tuple[tuple[tuple[int, int], ...], ...
     """The sigma and tau relation rows at level N, two per generator, duplicates included.
 
     Every translate is normalized with :func:`p1_normalize`; columns index
-    :func:`p1_list_by_normalize`.
+    :func:`p1_list_by_normalize`.  A symbol x fixed by tau gives the row x,
+    not x + x.tau + x.tau^2 = 3x: the integral presentation kills it.
     """
     gens = p1_list_by_normalize(N)
     index = {s: i for i, s in enumerate(gens)}
@@ -220,8 +221,11 @@ def relation_rows_by_normalize(N: int) -> tuple[tuple[tuple[int, int], ...], ...
         acc[j] = acc.get(j, 0) + 1
         rows.append(tuple(sorted(acc.items())))
 
-        acc = {i: 1}
         t = p1_normalize(N, *right_translate(N, sym.u, sym.v, TAU))
+        if t == sym:
+            rows.append(((i, 1),))
+            continue
+        acc = {i: 1}
         j = index[t]
         acc[j] = acc.get(j, 0) + 1
         k = normalized(t, TAU)

@@ -183,6 +183,33 @@ def test_verify_cyclic_exclusion_inconclusive(get_space):
     assert report.outcome == "inconclusive"
 
 
+@pytest.mark.parametrize("N,d", [(43, 2), (97, 3), (109, 3)])
+def test_tau_fixed_torsion_certifies_nothing(get_space, N, d):
+    # T_1(0,1)..T_2d(0,1) are dependent mod 3 in H_1(X_0(N), cusps); they
+    # looked independent only while a tau-fixed symbol survived as 3-torsion
+    report = verify_cyclic_exclusion(N, d, space_factory=get_space)
+    assert report.outcome == "inconclusive"
+    assert report.witness_prime is None
+
+
+def test_witness_search_stops_at_first_hasse_failure(get_space, monkeypatch):
+    # (1 + sqrt(p^d))^2 grows with p, so a p_max of 10^12 costs nothing
+    # once the Hasse gate fails: 169 passes at p = 5 before that, 97 fails
+    # it at p = 5; 22 has Gon(X_0(22)) <= 3, and method A passes there at p = 3
+    hasse = gate.hasse_gate
+    tried = []
+    monkeypatch.setattr(gate, "hasse_gate", lambda N, p, d: tried.append(p) or hasse(N, p, d))
+    for N, outcome, p, reached in (
+        (169, "excluded-T3", 5, [3, 5]),
+        (97, "inconclusive", None, [3, 5]),
+        (22, "excluded-methodA", 3, []),
+    ):
+        tried.clear()
+        report = verify_cyclic_exclusion(N, 3, p_max=10**12, space_factory=get_space)
+        assert (report.outcome, report.witness_prime) == (outcome, p), N
+        assert tried == reached, N
+
+
 def test_verify_cyclic_exclusion_beyond_table_range(get_space):
     report = verify_cyclic_exclusion(91, 4, space_factory=get_space)
     assert report.outcome == "inconclusive"
