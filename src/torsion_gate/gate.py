@@ -22,7 +22,7 @@ torsion occurs.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .exactmath import factorize, gcd, is_prime
 from .hecke import criterion_vectors
@@ -32,7 +32,6 @@ __all__ = [
     "ConditionEvidence",
     "GONALITY",
     "GateReport",
-    "GonalityTables",
     "WitnessPrime",
     "find_witness_prime",
     "gonality_exceeds",
@@ -117,45 +116,33 @@ def _flat(table: Mapping[int, tuple[int, ...]]) -> frozenset[int]:
     return frozenset(n for row in table.values() for n in row)
 
 
-class GonalityTables(NamedTuple):
-    """Levels of gonality <= d, for d = 1, 2, 3, per curve family.
-
-    Sets are cumulative: the degree-d set contains every level whose
-    gonality is at most d, so "Gon > d" is exactly absence from the
-    degree-d set.  (The published trigonal lists stop at the trigonal
-    curves proper; the hyperelliptic levels of higher genus are unioned
-    in here, since a gonality-2 curve certainly has gonality <= 3.)
-    """
-
-    x0: Mapping[int, frozenset[int]]
-    x1: Mapping[int, frozenset[int]]
-
-    def levels(self, family: str, d: int) -> frozenset[int]:
-        if family not in ("X0", "X1"):
-            raise ValueError(f"family must be 'X0' or 'X1', got {family!r}")
-        table = self.x0 if family == "X0" else self.x1
-        if d not in table:
-            raise ValueError(f"gonality tables cover d = 1..3 only, got d = {d}")
-        return table[d]
-
-
-GONALITY = GonalityTables(
-    x0={
+# Levels of gonality <= d, for d = 1, 2, 3, per curve family.  Sets are
+# cumulative: the degree-d set contains every level whose gonality is at
+# most d, so "Gon > d" is exactly absence from the degree-d set.  (The
+# published trigonal lists stop at the trigonal curves proper; the
+# hyperelliptic levels of higher genus are unioned in here, since a
+# gonality-2 curve certainly has gonality <= 3.)
+GONALITY: Mapping[str, Mapping[int, frozenset[int]]] = {
+    "X0": {
         1: frozenset(X0_GENUS_ZERO),
         2: _flat(X0_TWO_GONAL_BY_GENUS),
         3: _flat(X0_TWO_GONAL_BY_GENUS) | _flat(X0_THREE_GONAL_BY_GENUS),
     },
-    x1={
+    "X1": {
         1: frozenset(X1_GENUS_ZERO),
         2: _flat(X1_TWO_GONAL_BY_GENUS),
         3: _flat(X1_TWO_GONAL_BY_GENUS) | _flat(X1_THREE_GONAL_BY_GENUS),
     },
-)
+}
 
 
 def gonality_exceeds(family: str, N: int, d: int) -> bool:
     """True iff Gon(X_family(N)) > d, per the published tables (d <= 3)."""
-    return N not in GONALITY.levels(family, d)
+    if family not in GONALITY:
+        raise ValueError(f"family must be 'X0' or 'X1', got {family!r}")
+    if d not in GONALITY[family]:
+        raise ValueError(f"gonality tables cover d = 1..3 only, got d = {d}")
+    return N not in GONALITY[family][d]
 
 
 def _gonality_evidence(family: str, N: int, d: int) -> ConditionEvidence:
@@ -303,27 +290,13 @@ class GateReport:
     def excluded(self) -> bool:
         return self.outcome.startswith("excluded")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "d": self.d,
-            "outcome": self.outcome,
-            "witness_prime": None if self.witness_prime is None else str(self.witness_prime),
-            "evidence": [e.to_json_dict() for e in self.evidence],
-        }
-
 
 def _candidate_primes(N: int, p_max: int) -> Iterator[int]:
     """The odd primes p <= p_max not dividing N, ascending, generated one at a time."""
     return (p for p in range(3, p_max + 1, 2) if N % p and is_prime(p))
 
 
-def find_witness_prime(
-    N: int,
-    d: int,
-    p_max: int = 97,
-    space_factory: Callable[[int], SymbolSpace] = build_space,
-) -> WitnessPrime | None:
+def find_witness_prime(N: int, d: int, p_max: int = 97) -> WitnessPrime | None:
     """Least odd prime p <= p_max certifying exclusion via T3 or T4 conditions.
 
     Candidates are tested in ascending order and the search stops at the
@@ -334,9 +307,8 @@ def find_witness_prime(
     """
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
-    if d > 3 or not gonality_exceeds("X0", N, d):
+    if d > 3 or not (gon_ev := _gonality_evidence("X0", N, d)).passed:
         return None  # beyond the gonality tables nothing can be certified
-    gon_ev = _gonality_evidence("X0", N, d)
     fac = factorize(N)
     squarefree_composite = fac.is_squarefree and len(fac) >= 2
     space: SymbolSpace | None = None
@@ -362,7 +334,7 @@ def find_witness_prime(
             continue
         method, arith = chosen
         if space is None:
-            space = space_factory(N)
+            space = build_space(N)
             vectors = criterion_vectors(space, d)
         rank = quotient_rank_mod_p(space, vectors, p)
         indep = _ev(
@@ -378,45 +350,37 @@ def find_witness_prime(
     return None
 
 
-def verify_cyclic_exclusion(
-    N: int,
-    d: int = 3,
-    p_max: int = 97,
-    space_factory: Callable[[int], SymbolSpace] = build_space,
-) -> GateReport:
+def verify_cyclic_exclusion(N: int, d: int = 3, p_max: int = 97) -> GateReport:
     """Full verdict for (N, d): witness-prime search, then reduction fallback."""
     if N < 1 or d < 1:
         raise ValueError("N and d must be positive")
+    if p_max < 3:
+        raise ValueError("p_max must be >= 3")
     t0 = time.monotonic_ns()
-    evidence: list[ConditionEvidence] = []
     outcome = "inconclusive"
     witness: int | None = None
 
     if d > 3:
         # the gonality tables stop at degree 3, so neither route can be gated
-        evidence.append(
+        evidence = [
             _ev(
                 "gonality-tables-range",
                 False,
                 f"gonality tables cover d <= 3 only; cannot certify d = {d}",
                 d=d,
             )
-        )
-        elapsed_ms = (time.monotonic_ns() - t0) // 1_000_000
-        return GateReport(N=N, d=d, outcome=outcome, witness_prime=witness, evidence=evidence, elapsed_ms=int(elapsed_ms))
-
-    hit = find_witness_prime(N, d, p_max, space_factory)
-    if hit is not None:
-        outcome = f"excluded-{hit.method}"
-        witness = hit.p
-        evidence = hit.evidence
+        ]
+    elif (hit := find_witness_prime(N, d, p_max)) is not None:
+        outcome, witness, evidence = f"excluded-{hit.method}", hit.p, hit.evidence
     else:
-        # keep a trail of why the witness search came up empty; it is only
-        # reported when the verdict stays inconclusive (an excluded-*
-        # report must consist of passing conditions exclusively)
-        trail = [_gonality_evidence("X0", N, d)]
-        if trail[-1].passed:
-            trail.append(
+        from . import redux  # deferred: redux consumes this module's gates
+
+        # the trail of why the witness search came up empty; it is replaced
+        # when method A passes, since an excluded-* report must consist of
+        # passing conditions exclusively
+        evidence = [_gonality_evidence("X0", N, d)]
+        if evidence[0].passed:
+            evidence.append(
                 _ev(
                     "witness-prime-search",
                     False,
@@ -424,28 +388,14 @@ def verify_cyclic_exclusion(
                     p_max=p_max,
                 )
             )
-        from . import redux  # deferred: redux consumes this module's gates
-
         if N in redux.JACOBIAN_FINITE_FACTS:
             for p in _candidate_primes(N, p_max):
                 verdict = redux.method_a_verdict(N, d, p)
                 if verdict.passed:
-                    outcome = "excluded-methodA"
-                    witness = p
-                    evidence = verdict.evidence
+                    outcome, witness, evidence = "excluded-methodA", p, verdict.evidence
                     break
-            else:
-                evidence = trail
         else:
-            trail.append(
-                _ev(
-                    "finite-jacobian-table",
-                    False,
-                    f"J_1({N})(Q) is not in the cited finite-Jacobian table",
-                    N=N,
-                )
-            )
-            evidence = trail
+            evidence.append(redux._finite_jacobian_evidence(N))
 
     elapsed_ms = (time.monotonic_ns() - t0) // 1_000_000
     return GateReport(N=N, d=d, outcome=outcome, witness_prime=witness, evidence=evidence, elapsed_ms=int(elapsed_ms))

@@ -337,8 +337,10 @@ class _Echelon:
     def __init__(self, p: int, rows: Iterable[tuple[tuple[int, int], ...]]):
         self.p = p
         self.pivots: dict[int, dict[int, int]] = {}
-        # two-term (sigma) rows first: they identify symbol pairs, and the
-        # three-term rows then reduce against them with little fill-in
+        # shortest rows first: on the sigma quotient a tau row keeps one to
+        # three terms (a tau-fixed symbol gives one; a term vanishes on a
+        # sigma-fixed symbol or merges with another), and the full
+        # three-term rows then reduce against the short ones with little fill-in
         for row in sorted(rows, key=len):
             self._add(self.pivots, row)
 

@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .exactmath import PrimePower, field_make, gcd, is_prime, isqrt
-from .gate import ConditionEvidence, _ev, gonality_exceeds
+from .gate import ConditionEvidence, _ev, _gonality_evidence
 
 __all__ = [
     "BruteForceCensus",
@@ -269,6 +269,20 @@ JACOBIAN_FINITE_FACTS: dict[int, JacobianFiniteFact] = {
 }
 
 
+def _finite_jacobian_evidence(N: int) -> ConditionEvidence:
+    """Whether J_1(N)(Q) is in the cited finite-Jacobian table."""
+    fact = JACOBIAN_FINITE_FACTS.get(N)
+    if fact is None:
+        return _ev("finite-jacobian-table", False, f"J_1({N})(Q) is not in the cited finite-Jacobian table", N=N)
+    return _ev(
+        "finite-jacobian-table",
+        True,
+        f"J_1({N})(Q) finite ({fact.citation}; factor dims {fact.factor_dims})",
+        N=N,
+        factor_count=len(fact.factor_dims),
+    )
+
+
 class MethodAVerdict(NamedTuple):
     """Gate-report fragment: the reduction argument's combined outcome."""
 
@@ -292,34 +306,7 @@ def method_a_verdict(N: int, d: int, p: int) -> MethodAVerdict:
         raise ValueError(f"p must be an odd prime, got {p}")
     if N % p == 0:
         raise ValueError(f"p = {p} must not divide N = {N}")
-    evidence: list[ConditionEvidence] = []
-
-    fact = JACOBIAN_FINITE_FACTS.get(N)
-    if fact is None:
-        evidence.append(
-            _ev(
-                "finite-jacobian-table",
-                False,
-                f"J_1({N})(Q) is not in the cited finite-Jacobian table",
-                N=N,
-            )
-        )
-    else:
-        evidence.append(
-            _ev(
-                "finite-jacobian-table",
-                True,
-                f"J_1({N})(Q) finite ({fact.citation}; factor dims {fact.factor_dims})",
-                N=N,
-                factor_count=len(fact.factor_dims),
-            )
-        )
-
-    gon_ok = gonality_exceeds("X1", N, d)
-    rel = ">" if gon_ok else "<="
-    evidence.append(_ev("gonality-x1", gon_ok, f"Gon(X_1({N})) {rel} {d} (table lookup)", N=N, d=d))
-
-    evidence.append(additive_excluded(N, p, d))
+    evidence = [_finite_jacobian_evidence(N), _gonality_evidence("X1", N, d), additive_excluded(N, p, d)]
 
     for i in range(1, d + 1):
         pp = PrimePower(p, i)

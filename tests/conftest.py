@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from torsion_gate import gate
 from torsion_gate.maninspace import SymbolSpace, build_space
 
 
@@ -16,3 +17,9 @@ def get_space():
         return cache[N]
 
     return _get
+
+
+@pytest.fixture
+def cached_gate(get_space, monkeypatch):
+    """The gate builds its symbol spaces through the session cache."""
+    monkeypatch.setattr(gate, "build_space", get_space)

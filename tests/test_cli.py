@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from torsion_gate import cli
+from torsion_gate import cli, gate
 from torsion_gate.maninspace import ManinSymbol
 
 from oracles import hecke_action_by_normalize
@@ -49,6 +49,29 @@ def test_verify_usage_error_exit_code(capsys):
     assert cli.main(["verify", "--N", "0"]) == 1
     assert cli.main(["homology", "--N", "0"]) == 1
     assert cli.main(["verify", "--N", "91", "--p-max", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", (["verify", "--N", "91", "--d", "4", "--p-max", "2"], ["reproduce", "--d", "4", "--p-max", "0"])
+)
+def test_p_max_below_three_is_a_usage_error_beyond_the_tables(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"torsion-gate {argv[0]}: error: p_max must be >= 3\n"
+
+
+@pytest.mark.parametrize("argv, levels", ((["verify", "--N", "169"], [169]), (["reproduce"], [169, 143, 91, 77])))
+def test_verdicts_build_spaces_through_the_gate_namespace(capsys, monkeypatch, argv, levels):
+    # perfbench's tracer wraps build_space in every engine namespace that
+    # holds it; the gate must look it up in its own at call time
+    built, ranked = [], []
+    build, rank = gate.build_space, gate.quotient_rank_mod_p
+    monkeypatch.setattr(gate, "build_space", lambda N: built.append(build(N)) or built[-1])
+    monkeypatch.setattr(gate, "quotient_rank_mod_p", lambda space, vectors, p: ranked.append(space) or rank(space, vectors, p))
+    assert cli.main(argv) == 0
+    assert [space.N for space in built] == levels
+    assert ranked and all(any(space is b for b in built) for space in ranked)
 
 
 def test_verify_json_roundtrip(capsys):

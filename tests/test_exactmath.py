@@ -16,7 +16,6 @@ from torsion_gate.exactmath import (
     field_make,
     is_prime,
     isqrt,
-    primes_up_to,
 )
 
 from oracles import default_modulus_by_rabin, field_add, field_inv, field_pow, field_sub, quadratic_character
@@ -83,11 +82,6 @@ def _gcd(a, b):
     return a
 
 
-def test_primes_up_to():
-    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert primes_up_to(1) == []
-
-
 def test_prime_power_validation():
     assert PrimePower(3, 3).q == 27
     assert PrimePower(13, 2).q == 169
@@ -148,7 +142,7 @@ def test_field_arithmetic_spot_checks():
         assert f.mul(a, field_add(f, b, c)) == field_add(f, f.mul(a, b), f.mul(a, c))
 
 
-ODD_PRIME_POWERS_TO_343 = [(p, n) for p in primes_up_to(343) if p > 2 for n in range(1, 6) if p**n <= 343]
+ODD_PRIME_POWERS_TO_343 = [(p, n) for p in range(3, 344, 2) if is_prime(p) for n in range(1, 6) if p**n <= 343]
 
 
 def _mobius(n: int) -> int:

@@ -83,8 +83,8 @@ def test_gonality_examples():
 
 def test_gonality_tables_are_cumulative():
     for family in ("X0", "X1"):
-        assert GONALITY.levels(family, 1) <= GONALITY.levels(family, 2)
-        assert GONALITY.levels(family, 2) <= GONALITY.levels(family, 3)
+        assert GONALITY[family][1] <= GONALITY[family][2]
+        assert GONALITY[family][2] <= GONALITY[family][3]
 
 
 def test_gonality_tables_match_their_genus_labels():
@@ -97,29 +97,29 @@ def test_gonality_tables_match_their_genus_labels():
 def test_hyperelliptic_levels_count_as_trigonal_covered():
     # levels of gonality 2 sit inside the gonality <= 3 set even when the
     # published trigonal list proper does not repeat them
-    assert 30 in GONALITY.levels("X0", 3)
-    assert 71 in GONALITY.levels("X0", 3)
+    assert 30 in GONALITY["X0"][3]
+    assert 71 in GONALITY["X0"][3]
 
 
-def test_find_witness_prime_cases(get_space):
-    hit = find_witness_prime(169, 3, 50, space_factory=get_space)
+def test_find_witness_prime_cases(cached_gate):
+    hit = find_witness_prime(169, 3, 50)
     assert (hit.p, hit.method) == (5, "T3")
-    hit = find_witness_prime(143, 3, 50, space_factory=get_space)
+    hit = find_witness_prime(143, 3, 50)
     assert (hit.p, hit.method) == (3, "T4")
-    assert find_witness_prime(55, 3, 3, space_factory=get_space) is None
-    assert find_witness_prime(49, 3, 50, space_factory=get_space) is None  # gonality gate
+    assert find_witness_prime(55, 3, 3) is None
+    assert find_witness_prime(49, 3, 50) is None  # gonality gate
 
 
-def test_find_witness_prime_never_returns_divisor_or_two(get_space):
+def test_find_witness_prime_never_returns_divisor_or_two(cached_gate):
     for N in (169, 143, 91, 77):
-        hit = find_witness_prime(N, 3, space_factory=get_space)
+        hit = find_witness_prime(N, 3)
         assert hit is not None
         assert hit.p > 2 and N % hit.p != 0
         names = [e.name for e in hit.evidence]
         assert names[0] == "gonality-x0" and names[-1] == "hecke-independence"
 
 
-def test_find_witness_prime_stops_at_first_pass(get_space, monkeypatch):
+def test_find_witness_prime_stops_at_first_pass(cached_gate, monkeypatch):
     # at 169, d = 3: p = 3 fails the Hecke check and 5 passes; d = 1: 3 passes,
     # although every odd p <= 97 would clear the Hasse and T3 gates
     rank = gate.quotient_rank_mod_p
@@ -131,17 +131,17 @@ def test_find_witness_prime_stops_at_first_pass(get_space, monkeypatch):
     monkeypatch.setattr(gate, "quotient_rank_mod_p", recording_rank)
     for d, reached in ((3, [3, 5]), (1, [3])):
         tried = []
-        hit = find_witness_prime(169, d, 97, space_factory=get_space)
+        hit = find_witness_prime(169, d, 97)
         assert hit.p == reached[-1]
         assert tried == reached
 
 
-def test_criterion_vectors_built_once_per_level(get_space, monkeypatch):
+def test_criterion_vectors_built_once_per_level(cached_gate, monkeypatch):
     # at 169, p = 3 reaches the Hecke check and fails it; p = 5 passes
     calls = []
     build = gate.criterion_vectors
     monkeypatch.setattr(gate, "criterion_vectors", lambda space, d: calls.append(d) or build(space, d))
-    hit = find_witness_prime(169, 3, 50, space_factory=get_space)
+    hit = find_witness_prime(169, 3, 50)
     assert hit.p == 5
     assert calls == [3]
 
@@ -149,6 +149,13 @@ def test_criterion_vectors_built_once_per_level(get_space, monkeypatch):
 def test_find_witness_prime_validates_p_max():
     with pytest.raises(ValueError):
         find_witness_prime(169, 3, 2)
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_verify_validates_p_max_at_every_degree(d):
+    # d > 3 never reaches the witness search, so verify checks p_max itself
+    with pytest.raises(ValueError, match="p_max must be >= 3"):
+        verify_cyclic_exclusion(91, d, p_max=2)
 
 
 @pytest.mark.parametrize(
@@ -165,34 +172,34 @@ def test_find_witness_prime_validates_p_max():
         (22, "excluded-methodA", 3),
     ],
 )
-def test_verify_cyclic_exclusion_all_cases(get_space, N, outcome, p):
-    report = verify_cyclic_exclusion(N, 3, space_factory=get_space)
+def test_verify_cyclic_exclusion_all_cases(cached_gate, N, outcome, p):
+    report = verify_cyclic_exclusion(N, 3)
     assert report.outcome == outcome
     assert report.witness_prime == p
     assert report.excluded
     assert all(e.passed for e in report.evidence if e.name != "witness-prime-search")
 
 
-def test_verify_cyclic_exclusion_inconclusive(get_space):
-    report = verify_cyclic_exclusion(20, 3, space_factory=get_space)
+def test_verify_cyclic_exclusion_inconclusive(cached_gate):
+    report = verify_cyclic_exclusion(20, 3)
     assert report.outcome == "inconclusive"
     assert report.witness_prime is None
     assert not report.excluded
     # 169 needs p = 5: capping the search at 3 must come back inconclusive
-    report = verify_cyclic_exclusion(169, 3, p_max=3, space_factory=get_space)
+    report = verify_cyclic_exclusion(169, 3, p_max=3)
     assert report.outcome == "inconclusive"
 
 
 @pytest.mark.parametrize("N,d", [(43, 2), (97, 3), (109, 3)])
-def test_tau_fixed_torsion_certifies_nothing(get_space, N, d):
+def test_tau_fixed_torsion_certifies_nothing(cached_gate, N, d):
     # T_1(0,1)..T_2d(0,1) are dependent mod 3 in H_1(X_0(N), cusps); they
     # looked independent only while a tau-fixed symbol survived as 3-torsion
-    report = verify_cyclic_exclusion(N, d, space_factory=get_space)
+    report = verify_cyclic_exclusion(N, d)
     assert report.outcome == "inconclusive"
     assert report.witness_prime is None
 
 
-def test_witness_search_stops_at_first_hasse_failure(get_space, monkeypatch):
+def test_witness_search_stops_at_first_hasse_failure(cached_gate, monkeypatch):
     # (1 + sqrt(p^d))^2 grows with p, so a p_max of 10^12 costs nothing
     # once the Hasse gate fails: 169 passes at p = 5 before that, 97 fails
     # it at p = 5; 22 has Gon(X_0(22)) <= 3, and method A passes there at p = 3
@@ -205,21 +212,41 @@ def test_witness_search_stops_at_first_hasse_failure(get_space, monkeypatch):
         (22, "excluded-methodA", 3, []),
     ):
         tried.clear()
-        report = verify_cyclic_exclusion(N, 3, p_max=10**12, space_factory=get_space)
+        report = verify_cyclic_exclusion(N, 3, p_max=10**12)
         assert (report.outcome, report.witness_prime) == (outcome, p), N
         assert tried == reached, N
 
 
-def test_verify_cyclic_exclusion_beyond_table_range(get_space):
-    report = verify_cyclic_exclusion(91, 4, space_factory=get_space)
+def test_verify_cyclic_exclusion_beyond_table_range(cached_gate):
+    report = verify_cyclic_exclusion(91, 4)
     assert report.outcome == "inconclusive"
     assert report.evidence[0].name == "gonality-tables-range"
-    assert find_witness_prime(91, 4, space_factory=get_space) is None
+    assert find_witness_prime(91, 4) is None
 
 
-def test_report_json_dict_uses_decimal_strings(get_space):
-    report = verify_cyclic_exclusion(91, 3, space_factory=get_space)
-    doc = report.to_json_dict()
-    assert doc["witness_prime"] == "3"
-    for ev in doc["evidence"]:
-        assert all(isinstance(v, str) and v.lstrip("-").isdigit() for v in ev["witnesses"].values())
+def test_report_json_dict_uses_decimal_strings(cached_gate):
+    report = verify_cyclic_exclusion(91, 3)
+    assert report.witness_prime == 3
+    for e in report.evidence:
+        doc = e.to_json_dict()
+        assert all(isinstance(v, str) and v.lstrip("-").isdigit() for v in doc["witnesses"].values())
+
+
+# Cyclic levels N such that Z/NZ is the torsion of some elliptic curve over
+# a degree-d field: Mazur 1977 (d = 1); Kenku-Momose 1988 and Kamienny 1992
+# (d = 2); Jeon-Kim-Schweizer 2004 and Derickx-Etropolski-van Hoeij-Morrow-
+# Zureick-Brown, arXiv 2007.13929 (d = 3).
+REALIZED_LEVELS = {
+    1: (*range(1, 11), 12),
+    2: (*range(1, 17), 18),
+    3: (*range(1, 17), 18, 20, 21),
+}
+
+
+@pytest.mark.parametrize("p_max", (97, 10**12))
+@pytest.mark.parametrize("d", sorted(REALIZED_LEVELS))
+def test_realized_levels_are_never_excluded(d, p_max):
+    # an excluded-* verdict at a realized level is a soundness bug, whatever the gate
+    for N in REALIZED_LEVELS[d]:
+        report = verify_cyclic_exclusion(N, d, p_max=p_max)
+        assert (report.outcome, report.witness_prime) == ("inconclusive", None), N

@@ -1,0 +1,77 @@
+"""Pinned reports: each call's JSON outside ``timing``, its exit code and its stderr.
+
+``tests/golden/reports.json`` maps each call's arguments, joined by spaces,
+to its exit code, its stderr and its JSON report without ``timing``.  The
+calls reach every evidence branch of the verdict chain: the T3 and T4
+routes, method A, a gonality failure off the finite-Jacobian table, an
+exhausted and a capped witness search, and d > 3.  Regenerate the file
+with ``PYTHONPATH=src python tests/test_golden.py`` only when a report is
+meant to change, and review the diff.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from torsion_gate import cli
+
+GOLDEN = Path(__file__).with_name("golden") / "reports.json"
+
+GOLDEN_CALLS = (
+    "verify --N 169 --d 3",
+    "verify --N 91 --d 3",
+    "verify --N 22 --d 3",
+    "verify --N 20 --d 3",
+    "verify --N 97 --d 3",
+    "verify --N 121 --d 3",
+    "verify --N 169 --d 3 --p-max 3",
+    "verify --N 91 --d 4",
+    "reproduce --d 1",
+    "reproduce --d 2",
+    "reproduce --d 3",
+    "homology --N 169",
+    "hecke --N 169 --n 5",
+    "census --q 27 --N 25",
+)
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def run(call: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(call.split() + ["--format", "json"])
+    doc = json.loads(out.getvalue())
+    assert out.getvalue() == canonical(doc)
+    del doc["timing"]
+    return {"exit": code, "stderr": err.getvalue(), "report": doc}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_exactly_the_pinned_calls(golden):
+    assert sorted(golden) == sorted(GOLDEN_CALLS)
+
+
+@pytest.mark.parametrize("call", GOLDEN_CALLS)
+def test_report_matches_golden(call, golden):
+    got, want = run(call), golden[call]
+    assert (got["exit"], got["stderr"]) == (want["exit"], want["stderr"])
+    assert canonical(got["report"]) == canonical(want["report"])
+
+
+if __name__ == "__main__":
+    table = {call: run(call) for call in GOLDEN_CALLS}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(table, sort_keys=True, indent=1) + "\n")
+    print(f"wrote {len(table)} reports to {GOLDEN}")

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from torsion_gate.cli import canonical_json
-from torsion_gate.exactmath import PrimePower, primes_up_to
+from torsion_gate.exactmath import PrimePower, is_prime
 from torsion_gate.redux import (
     JACOBIAN_FINITE_FACTS,
     admissible_traces,
@@ -103,7 +103,7 @@ def test_brute_force_guards():
 
 def odd_prime_powers(lo: int, hi: int) -> list[tuple[int, int]]:
     """(p, n) for every odd prime power lo < p^n <= hi, in increasing q."""
-    found = [(p, n) for p in primes_up_to(hi) if p > 2 for n in range(1, 6) if lo < p**n <= hi]
+    found = [(p, n) for p in range(3, hi + 1, 2) if is_prime(p) for n in range(1, 6) if lo < p**n <= hi]
     return sorted(found, key=lambda pn: pn[0] ** pn[1])
 
 
