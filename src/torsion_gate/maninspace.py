@@ -12,20 +12,26 @@ A symbol fixed by sigma keeps the row 2x, which already kills it over
 Q and over F_p, p odd.  The quotient then has no odd torsion, so its
 rank over F_p equals its rank over Q for every odd prime p.
 
-Ranks are computed exactly over F_p, p odd, by one sparse row echelon
-(Stein, ch. 8) after Stein's quotient by the two-term relations: a sigma
-pair i < j gives x_i := -x_j, and a sigma-fixed x_i gives x_i := 0.  The
-relation rank is the number of sigma orbits plus the echelon rank of the
-substituted three-term rows.  A space builds the echelon once per prime
-and keeps it; the rank over Q is read off the echelon mod 3.
+No rank eliminates the relation matrix.  Stein's quotient by the
+two-term relations (ch. 8), x_i := -x_j for a sigma pair i < j and
+x_i := 0 for a sigma-fixed x_i, turns the three-term rows into the
+vertex-edge incidence matrix of a graph G: a vertex per tau orbit, an
+edge per sigma pair i < j from the orbit of i (-1) to that of j (+1), a
+self-loop when they coincide.  G is the trivalent graph dual to X_0(N)'s
+triangulation by translates of the Farey triangle (an elliptic point
+leaves a vertex of degree one or a missing edge), and it is connected,
+as X_0(N) is.  So the relation rank is (sigma orbits) + (tau orbits) - 1
+over Q and over every F_p, p odd, and the dimension 2g + c - 1 is G's
+cycle rank |E| - |V| + 1.
 
-Vectors are column rows: dicts from a generator's column (its index in
-the sorted ``SymbolSpace.gens``) to a nonzero coefficient.  Linear
-independence of column rows in the quotient mod p is phrased as an
-augmented-rank difference, never through an extracted basis, so no
-choice of generators for the quotient ever enters: the extra rows are
-substituted the same way and reduced against the kept echelon on an
-overlay.
+A space keeps one depth-first spanning tree of G for every p.  Modulo
+the tau rows, a substituted column row v is v less the coboundary of
+the vertex potentials x with x_head - x_tail = v_e on the tree edges:
+its residual on the cotree edges, the pairing of v with G's fundamental
+cycles.  So ``quotient_rank_mod_p``, rank([R; V]) - rank(R), is the rank
+mod p of the residuals of V, at most 2d rows and the engine's only
+elimination.  Vectors are column rows: dicts from a generator's column
+(its index in the sorted ``SymbolSpace.gens``) to a nonzero coefficient.
 
 The canonical representative of a class of P^1(Z/NZ) is its
 lexicographically least member, which has first coordinate g = gcd(u, N)
@@ -36,15 +42,13 @@ fixing g are the units t = 1 (mod m).  So the class of (g, w) is
 read off as (g, s v) for any s with s u = g (mod N), an inverse of u/g
 mod m.  The engine classifies by that lookup, :meth:`SymbolSpace.index`,
 never by normalizing a pair; Algorithm 8.29's normalization lives on only
-as the reference the tests compare against.  The relation build emits
-each relation once, per sigma orbit and per tau orbit, as Stein does
-(ch. 8).
+as the reference the tests compare against.  Sigma and tau are kept as
+permutations of the columns, and the relation rows are derived on request.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Mapping, NamedTuple
 
 from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
@@ -106,6 +110,8 @@ def p1_list(N: int) -> tuple[ManinSymbol, ...]:
 
 def index_x0(N: int) -> int:
     """Index psi(N) = N * prod_{p | N} (1 + 1/p) of Gamma_0(N) in PSL_2(Z)."""
+    if N < 1:
+        raise ValueError("level must be positive")
     out = N
     for p, _ in factorize(N):
         out = out // p * (p + 1)
@@ -149,41 +155,47 @@ def genus_x0(N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the symbol space and its relation matrix
+# the symbol space and its relation graph
 # ---------------------------------------------------------------------------
 
 
-class SymbolSpace:
-    """Level, ordered P^1 generators, and the sigma/tau relation rows.
+class _SpanningTree(NamedTuple):
+    """A depth-first spanning tree of the tau-orbit graph G, vertices numbered in preorder.
 
-    There is one row per orbit of sigma and one per orbit of tau on the
-    generators (x + x.sigma, or 2x when sigma fixes x; x + x.tau + x.tau^2,
-    or x when tau fixes x), so no row repeats; the sigma rows come first.
-    Ranks are taken over F_p only: the first rank query mod p builds the
-    sparse echelon of the tau rows over the sigma quotient (module
-    docstring) and caches it; quotient ranks reduce their substituted
-    extra rows against it.  Since the presentation has no odd torsion,
-    :attr:`rank_q` is the rank mod 3.
+    An edge is named by its column, the larger member j of its sigma pair;
+    it runs from the orbit of sigma(j) to the orbit of j.
+    """
+
+    vertex: list[int]  # vertex[k]: the preorder number of the tau orbit of column k
+    end: list[int]  # end[v]: one past the last vertex of v's subtree, which is range(v, end[v])
+    edges: dict[int, tuple[int, int]]  # tree edge -> (child vertex, +1 if the child is its head, else -1)
+    cotree: list[tuple[int, int, int]]  # (edge, head, tail) for every other edge, self-loops included
+
+
+class SymbolSpace:
+    """Level, ordered P^1 generators, the class tables and the sigma and tau permutations.
+
+    ``_sigma[i]`` and ``_tau[i]`` are the columns of gens[i].sigma and
+    gens[i].tau.  The first rank query builds the spanning tree of the
+    tau-orbit graph (module docstring), which serves every prime; since the
+    presentation has no odd torsion, :attr:`rank_q` is the rank mod 3.
 
     The space also holds the class tables of the module docstring:
     ``_scale[u]``, an s with s u = g = gcd(u, N) (mod N), and
     ``_classes[g][w mod N/g]``, the column of (g, w), with key 0 (u = 0)
     a one-entry table, the column of (0, 1).  :meth:`index` reads them; it
-    is the engine's only P^1 classifier.  ``_sigma[i]`` is the column of gens[i].sigma.
+    is the engine's only P^1 classifier.
     """
 
     def __init__(self, N: int, gens: tuple[ManinSymbol, ...], scale: list[int], classes: dict[int, list[int]],
-                 sigma: list[int], sigma_rows: list[tuple[tuple[int, int], ...]],
-                 tau_rows: list[tuple[tuple[int, int], ...]]):
+                 sigma: list[int], tau: list[int]):
         self.N = N
         self.gens = gens
         self._scale = scale
         self._classes = classes
         self._sigma = sigma
-        self._sigma_orbits = len(sigma_rows)
-        self._tau_rows = tau_rows
-        self.relation_rows = tuple(sigma_rows + tau_rows)
-        self._echelons: dict[int, _Echelon] = {}  # keyed by p
+        self._tau = tau
+        self._tree: _SpanningTree | None = None
 
     def index(self, u: int, v: int) -> int:
         """Column of the class of (u, v), looked up as (g, s v) mod N/g; see the module docstring.
@@ -200,11 +212,24 @@ class SymbolSpace:
     def psi(self) -> int:
         return len(self.gens)
 
-    def _on_sigma_quotient(self, row: Iterable[tuple[int, int]]) -> dict[int, int]:
-        """``row`` with x_i := -x_j for each sigma pair i < j and x_i := 0 for each sigma-fixed i.
+    @property
+    def relation_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """One row of (column, coefficient) pairs per orbit of sigma, then per orbit of tau, built afresh.
 
-        The larger column of a pair stays: the echelon then fills in far less.
+        x + x.sigma, or 2x when sigma fixes x; x + x.tau + x.tau^2, or x when tau fixes x.
         """
+        sigma, tau = self._sigma, self._tau
+        rows = [((i, 1), (j, 1)) if i < j else ((i, 2),) for i, j in enumerate(sigma) if i <= j]
+        for i, j in enumerate(tau):
+            k = tau[j]
+            if i == j:  # tau fixes the class, so the orbit is {i}
+                rows.append(((i, 1),))
+            elif i < j and i < k:
+                rows.append(((i, 1), (j, 1), (k, 1)) if j < k else ((i, 1), (k, 1), (j, 1)))
+        return tuple(rows)
+
+    def _on_sigma_quotient(self, row: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """``row`` keyed by tau-orbit graph edges: x_i := -x_j for each sigma pair i < j, 0 if sigma fixes x_i."""
         sigma = self._sigma
         out: dict[int, int] = {}
         for k, c in row:
@@ -215,12 +240,38 @@ class SymbolSpace:
                 out[k] = out.get(k, 0) + c
         return out
 
-    def _echelon(self, p: int) -> _Echelon:
-        ech = self._echelons.get(p)
-        if ech is None:
-            rows = [self._on_sigma_quotient(row).items() for row in self._tau_rows]
-            ech = self._echelons[p] = _Echelon(p, rows)
-        return ech
+    def _spanning_tree(self) -> _SpanningTree:
+        """The depth-first spanning tree of the tau-orbit graph, built on the first call."""
+        if self._tree is None:
+            sigma, tau = self._sigma, self._tau
+            vertex = [-1] * len(sigma)
+            end: list[int] = []
+            edges: dict[int, tuple[int, int]] = {}
+            stack = [0]  # columns whose orbit is to be entered, and ~v to close the subtree of v
+            pop, push = stack.pop, stack.append
+            v = 0  # the next preorder number
+            while stack:
+                k = pop()
+                if k < 0:
+                    end[~k] = v
+                elif vertex[k] < 0:
+                    if v:  # entered over the edge from the orbit of j = sigma(k), which is v's parent
+                        j = sigma[k]
+                        if k > j:
+                            edges[k] = (v, 1)
+                        else:
+                            edges[j] = (v, -1)
+                    end.append(0)
+                    push(~v)
+                    for i in (k,) if tau[k] == k else (k, tau[k], tau[tau[k]]):
+                        vertex[i] = v
+                        if vertex[sigma[i]] < 0:
+                            push(sigma[i])
+                    v += 1
+            assert -1 not in vertex, f"the tau-orbit graph is disconnected at N={self.N}"
+            cotree = [(j, vertex[j], vertex[i]) for j, i in enumerate(sigma) if i < j and j not in edges]
+            self._tree = _SpanningTree(vertex, end, edges, cotree)
+        return self._tree
 
     @property
     def rank_q(self) -> int:
@@ -233,20 +284,30 @@ class SymbolSpace:
         return self.psi - self.rank_q
 
     def rank_mod_p(self, p: int) -> int:
-        """Rank of the relation matrix over F_p (computed once, then cached).
+        """Rank of the relation matrix over F_p, (sigma orbits) + (tau orbits) - 1 = psi - #cotree edges.
 
         Raises ValueError unless p is an odd prime.
         """
         if p == 2 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
-        return self._sigma_orbits + self._echelon(p).rank
+        return self.psi - len(self._spanning_tree().cotree)
+
+
+# `homology --N 999983` (psi = 999984, just under the bound) takes about 5.9 s and
+# peaks at about 285 MB RSS (2-core Xeon VM, CPython 3.11.7).
+MAX_PSI = 10**6
 
 
 def build_space(N: int) -> SymbolSpace:
-    """Assemble the generators (from :func:`p1_list`), the class tables and one relation row per orbit."""
+    """Assemble the generators (from :func:`p1_list`), the class tables and the sigma and tau permutations.
+
+    Raises ValueError, before building anything, when psi(N) exceeds :data:`MAX_PSI`.
+    """
+    psi = index_x0(N)
+    if psi > MAX_PSI:
+        raise ValueError(f"level guard: psi({N}) = {psi} exceeds {MAX_PSI}")
     gens = p1_list(N)
-    psi = len(gens)
-    assert psi == index_x0(N), f"P^1(Z/{N}) enumeration does not match psi"
+    assert len(gens) == psi, f"P^1(Z/{N}) enumeration does not match psi"
     primes = [q for q, _ in factorize(N)]
     scale = [0] * N  # scale[g x] = x^-1 mod N/g, for x a unit mod N/g
     classes = {}  # classes[g][w]: the column of (g, w), for w mod N/g; keyed by gcd(u, N) mod N
@@ -273,122 +334,59 @@ def build_space(N: int) -> SymbolSpace:
         sigma[i] = table[-s * u % m]
         tau[i] = table[-s * (u + v) % m]
     assert -1 not in sigma and -1 not in tau, f"a translate missed the class tables at N={N}"
-    sigma_rows = [((i, 1), (j, 1)) if i < j else ((i, 2),) for i, j in enumerate(sigma) if i <= j]
-    tau_rows = []
-    for i, j in enumerate(tau):
-        k = tau[j]
-        if i == j:  # tau fixes the class, so the orbit is {i}
-            tau_rows.append(((i, 1),))
-        elif i < j and i < k:
-            tau_rows.append(((i, 1), (j, 1), (k, 1)) if j < k else ((i, 1), (k, 1), (j, 1)))
-    return SymbolSpace(N, gens, scale, classes, sigma, sigma_rows, tau_rows)
+    return SymbolSpace(N, gens, scale, classes, sigma, tau)
 
 
 # ---------------------------------------------------------------------------
-# exact rank computations
+# ranks in the quotient
 # ---------------------------------------------------------------------------
 
 
-def _reduce(pivots: Mapping[int, dict[int, int]], v: dict[int, int], p: int) -> int | None:
-    """Reduce ``v`` in place mod p against ``pivots``; return its new leading column.
-
-    Columns are cleared in increasing order until the least remaining one
-    has no pivot row: then ``v`` is independent of the rows and that column
-    is its leading column.  None means ``v`` lies in their span.  Every
-    pivot row has leading coefficient 1.
-    """
-    heap = list(v)
-    heapify(heap)
-    while heap:
-        c = heappop(heap)
-        f = v.get(c)
-        if f is None:
-            continue  # cancelled since it was pushed
-        row = pivots.get(c)
-        if row is None:
-            return c
-        del v[c]
-        for k, y in row.items():
-            if k == c:
-                continue
-            x = v.get(k)
-            if x is None:
-                v[k] = -f * y % p  # nonzero: f and y are units mod p
-                heappush(heap, k)
-            else:
-                x = (x - f * y) % p
-                if x:
-                    v[k] = x
-                else:
-                    del v[k]
-    return None
-
-
-class _Echelon:
-    """Sparse row echelon form of the relation rows over F_p.
-
-    Each row is a dict column -> coefficient stored under its leading
-    (least) column, with leading coefficient 1.  Built once and never
-    changed afterwards; :meth:`extra_rank` works on an overlay.
-    """
-
-    __slots__ = ("p", "pivots")
-
-    def __init__(self, p: int, rows: Iterable[tuple[tuple[int, int], ...]]):
-        self.p = p
-        self.pivots: dict[int, dict[int, int]] = {}
-        # shortest rows first: on the sigma quotient a tau row keeps one to
-        # three terms (a tau-fixed symbol gives one; a term vanishes on a
-        # sigma-fixed symbol or merges with another), and the full
-        # three-term rows then reduce against the short ones with little fill-in
-        for row in sorted(rows, key=len):
-            self._add(self.pivots, row)
-
-    def _add(self, pivots: dict[int, dict[int, int]], row: Iterable[tuple[int, int]]) -> None:
-        """Add ``row`` to the echelon rows ``pivots`` unless it lies in their span."""
-        p = self.p
-        v = {}
-        for k, x in row:
-            x %= p
-            if x:
-                v[k] = x
-        c = _reduce(pivots, v, p)
-        if c is None:
-            return
-        if v[c] != 1:
+def _rank_mod_p(rows: Iterable[Mapping[int, int]], p: int) -> int:
+    """Rank over F_p of a few sparse integer rows, by Gaussian elimination."""
+    pivots: list[tuple[int, dict[int, int]]] = []  # (column, row with 1 there and 0 at every earlier pivot column)
+    for row in rows:
+        v = {k: x % p for k, x in row.items() if x % p}
+        for c, pivot in pivots:
+            if f := v.get(c):
+                for k, y in pivot.items():
+                    if x := (v.get(k, 0) - f * y) % p:
+                        v[k] = x
+                    else:
+                        del v[k]
+        if v:
+            c = next(iter(v))
             inv = pow(v[c], -1, p)
-            v = {k: x * inv % p for k, x in v.items()}
-        pivots[c] = v
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def extra_rank(self, rows: Iterable[Iterable[tuple[int, int]]]) -> int:
-        """dim of the span of ``rows`` modulo the row space of the echelon."""
-        overlay = dict(self.pivots)  # the stored rows are never mutated, so a shallow copy is safe
-        for row in rows:
-            self._add(overlay, row)
-        return len(overlay) - len(self.pivots)
+            pivots.append((c, {k: x * inv % p for k, x in v.items()}))
+    return len(pivots)
 
 
 def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]], p: int) -> int:
     """dim over F_p of the span of the vectors' images in the quotient mod p.
 
-    Each vector is a column row, a mapping from generator column to
-    coefficient.  Equal to rank_{F_p}([R; V]) - rank_{F_p}(R), which by
-    right-exactness of tensoring with F_p is basis-free and exact;
-    computed by substituting the vectors onto the sigma quotient and
-    reducing only them against the cached echelon of the tau rows mod p.
-    Raises ValueError for a column outside range(psi): such a key would
-    become a pivot of its own and inflate the rank.
+    Each vector is a column row.  Equal to rank_{F_p}([R; V]) - rank_{F_p}(R),
+    exact by right-exactness of tensoring with F_p, and computed as the rank
+    mod p of the vectors' cotree residuals (module docstring).  Raises
+    ValueError for a column outside range(psi), which has no edge of its
+    own; a negative one would read another column's.
     """
-    space.rank_mod_p(p)  # checks p; builds the echelon of R mod p once per space
+    space.rank_mod_p(p)  # checks p; builds the spanning tree once per space
+    _, end, edges, cotree = space._spanning_tree()
     columns = range(space.psi)
-    rows = []
+    residuals = []
     for vec in vectors:
         for k in vec:
             if k not in columns:
                 raise ValueError(f"column {k!r} is not a generator at level {space.N}")
-        rows.append(space._on_sigma_quotient(vec.items()).items())
-    return space._echelons[p].extra_rank(rows)
+        row = space._on_sigma_quotient(vec.items())
+        # vertex potentials x with x_head - x_tail = row[e] on each tree edge e: the
+        # edge adds +-row[e] to its child's subtree, a contiguous range in preorder
+        diff = [0] * (len(end) + 1)
+        for e, c in row.items():
+            if (edge := edges.get(e)) is not None:
+                child, sign = edge
+                diff[child] += sign * c
+                diff[end[child]] -= sign * c
+        x = list(accumulate(diff))
+        residuals.append({e: r for e, head, tail in cotree if (r := row.get(e, 0) - x[head] + x[tail])})
+    return _rank_mod_p(residuals, p)

@@ -1,9 +1,12 @@
 """Slow reference implementations the engine's fast paths are tested against.
 
-These were the engine's production paths before the sparse echelon, the
-orbit enumeration of P^1, the class-table lookup and the census by
-translation orbits replaced them: dense fraction-free (Bareiss)
-elimination over Q, dense Gaussian elimination mod p, P^1 normalization
+These were the engine's production paths before the spanning tree of
+the tau-orbit graph, the orbit enumeration of P^1, the class-table
+lookup and the census by translation orbits replaced them: dense
+fraction-free (Bareiss) elimination over Q, dense Gaussian elimination
+mod p, the heap-driven sparse row echelon mod p (:class:`_Echelon`,
+which takes any relation rows, not only those of a tau-orbit graph),
+P^1 normalization
 by Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1 enumeration
 that normalizes every pair (g, v) with g | N, the relation build and the
 Hecke action that normalize every translate, the census that scans
@@ -23,8 +26,9 @@ They share no elimination, enumeration or classification code with
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from torsion_gate.exactmath import _DEFAULT_MODULI, FiniteField, PrimePower, _rabin, divisors, field_make, gcd
 from torsion_gate.hecke import merel_matrices
@@ -185,6 +189,87 @@ def dense_rank_mod_p(rows: list[list[int]], p: int) -> int:
                 rank += 1
                 break
     return rank
+
+
+def _reduce(pivots: Mapping[int, dict[int, int]], v: dict[int, int], p: int) -> int | None:
+    """Reduce ``v`` in place mod p against ``pivots``; return its new leading column.
+
+    Columns are cleared in increasing order until the least remaining one
+    has no pivot row: then ``v`` is independent of the rows and that column
+    is its leading column.  None means ``v`` lies in their span.  Every
+    pivot row has leading coefficient 1.
+    """
+    heap = list(v)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = v.get(c)
+        if f is None:
+            continue  # cancelled since it was pushed
+        row = pivots.get(c)
+        if row is None:
+            return c
+        del v[c]
+        for k, y in row.items():
+            if k == c:
+                continue
+            x = v.get(k)
+            if x is None:
+                v[k] = -f * y % p  # nonzero: f and y are units mod p
+                heappush(heap, k)
+            else:
+                x = (x - f * y) % p
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
+    return None
+
+
+class _Echelon:
+    """Sparse row echelon form of integer rows over F_p (each column at most once per row).
+
+    Each row is a dict column -> coefficient stored under its leading
+    (least) column, with leading coefficient 1.  Built once and never
+    changed afterwards; :meth:`extra_rank` works on an overlay.
+    """
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p: int, rows: Iterable[Iterable[tuple[int, int]]]):
+        self.p = p
+        self.pivots: dict[int, dict[int, int]] = {}
+        # shortest rows first: on relation rows the one- and two-term rows
+        # then clear most columns before the three-term rows arrive
+        for row in sorted(rows, key=len):
+            self._add(self.pivots, row)
+
+    def _add(self, pivots: dict[int, dict[int, int]], row: Iterable[tuple[int, int]]) -> None:
+        """Add ``row`` to the echelon rows ``pivots`` unless it lies in their span."""
+        p = self.p
+        v = {}
+        for k, x in row:
+            x %= p
+            if x:
+                v[k] = x
+        c = _reduce(pivots, v, p)
+        if c is None:
+            return
+        if v[c] != 1:
+            inv = pow(v[c], -1, p)
+            v = {k: x * inv % p for k, x in v.items()}
+        pivots[c] = v
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def extra_rank(self, rows: Iterable[Iterable[tuple[int, int]]]) -> int:
+        """dim of the span of ``rows`` modulo the row space of the echelon."""
+        overlay = dict(self.pivots)  # the stored rows are never mutated, so a shallow copy is safe
+        for row in rows:
+            self._add(overlay, row)
+        return len(overlay) - len(self.pivots)
 
 
 def p1_list_by_normalize(N: int) -> tuple[ManinSymbol, ...]:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from torsion_gate import cli, gate
-from torsion_gate.maninspace import ManinSymbol
+from torsion_gate import cli, gate, maninspace
+from torsion_gate.maninspace import MAX_PSI, ManinSymbol
 
 from oracles import hecke_action_by_normalize
 
@@ -59,6 +59,23 @@ def test_p_max_below_three_is_a_usage_error_beyond_the_tables(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"torsion-gate {argv[0]}: error: p_max must be >= 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["verify", "--N", "10000000", "--d", "1", "--p-max", "3"],
+        ["homology", "--N", "10000000"],
+        ["hecke", "--N", "10000000", "--n", "2"],
+    ),
+)
+def test_levels_beyond_the_symbol_space_guard_are_usage_errors(capsys, monkeypatch, argv):
+    # psi(10^7) = 1.8 * 10^7: the guard refuses it before P^1 is listed
+    monkeypatch.setattr(maninspace, "p1_list", lambda N: pytest.fail(f"p1_list({N}) ran past the guard"))
+    assert cli.main([*argv, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"torsion-gate {argv[0]}: error: level guard: psi(10000000) = 18000000 exceeds {MAX_PSI}\n"
 
 
 @pytest.mark.parametrize("argv, levels", ((["verify", "--N", "169"], [169]), (["reproduce"], [169, 143, 91, 77])))

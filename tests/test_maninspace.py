@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from torsion_gate import maninspace
 from torsion_gate.exactmath import gcd
 from torsion_gate.hecke import criterion_vectors
 from torsion_gate.maninspace import (
+    MAX_PSI,
     ManinSymbol,
-    _Echelon,
     build_space,
     cusp_count_x0,
     genus_x0,
@@ -20,6 +21,7 @@ from torsion_gate.maninspace import (
 from oracles import (
     SIGMA,
     TAU,
+    _Echelon,
     bareiss_rank,
     dense_rank_mod_p,
     dense_rows,
@@ -192,17 +194,80 @@ def test_relation_quotient_has_no_odd_torsion(start):
             assert space.psi - space.rank_mod_p(p) == want, (N, p)
 
 
-@pytest.mark.parametrize("N", [13, 91, 243, 389, 1001, 1169, 1271, 2431, 2653, 2911])
+# every level up to 300, then the benchmark's homology and verify levels
+@pytest.mark.parametrize("N", [*range(1, 301), 379, 383, 389, 1001, 1169, 1271, 2431, 2653, 2911])
 def test_sigma_quotient_matches_generic_echelon(N, get_space):
     # 13 and 389 have sigma-fixed points, 13 and 91 tau-fixed ones, whose
-    # row is x itself, so that mod 3 they are zero as over Q
+    # row is x itself, so that mod 3 they are zero as over Q; the oracle
+    # eliminates the raw relation rows, with no sigma quotient and no tree
     space = get_space(N)
-    vectors = criterion_vectors(space, 3)
     assert space.rank_q == space.psi - (2 * genus_x0(N) + cusp_count_x0(N) - 1)
     for p in (3, 5, 7):
         generic = _Echelon(p, space.relation_rows)
         assert space.rank_mod_p(p) == generic.rank, p
-        assert quotient_rank_mod_p(space, vectors, p) == generic.extra_rank(vec.items() for vec in vectors), p
+        for d in (1, 2, 3):
+            vectors = criterion_vectors(space, d)
+            assert quotient_rank_mod_p(space, vectors, p) == generic.extra_rank(vec.items() for vec in vectors), (p, d)
+
+
+@pytest.mark.parametrize("N", [2, 13, 25, 36, 65, 130, 169, 389])
+def test_quotient_rank_matches_generic_echelon_on_random_rows(N, get_space):
+    # Random column rows weighted towards the columns the tree treats
+    # apart: sigma-fixed columns (dropped by the sigma quotient), both ends
+    # of self-loop edges (always cotree) and tau-fixed columns; the rest
+    # are drawn from all columns.  Every level here but 36 has sigma-fixed
+    # points, and every level has self-loops.
+    space = get_space(N)
+    sigma, tau = space._sigma, space._tau
+    tree = space._spanning_tree()
+    fixed = [i for i in range(space.psi) if sigma[i] == i]
+    loops = [k for e, head, tail in tree.cotree if head == tail for k in (e, sigma[e])]
+    assert bool(fixed) == (N != 36) and loops
+    special = fixed + loops + [i for i in range(space.psi) if tau[i] == i]
+    rng = random.Random(N)
+    for p in (3, 5, 7):
+        generic = _Echelon(p, space.relation_rows)
+        for _ in range(40):
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                cols = rng.sample(special, min(len(special), rng.randint(0, 3)))
+                cols += rng.sample(range(space.psi), min(space.psi, rng.randint(0, 3)))
+                row = {k: rng.choice((1, -1, 2, -3, p, 4)) for k in cols}
+                rows.append(row)
+            assert quotient_rank_mod_p(space, rows, p) == generic.extra_rank(row.items() for row in rows), (p, rows)
+
+
+@pytest.mark.parametrize("N", [*range(1, 121), 169, 243, 389, 1001, 2431])
+def test_spanning_tree_invariants(N, get_space):
+    space = get_space(N)
+    sigma, tau = space._sigma, space._tau
+    tree = space._spanning_tree()
+    vertex, end, edges = tree.vertex, tree.end, tree.edges
+    # one vertex per tau orbit, numbered 0 .. |V| - 1
+    orbits = {frozenset((i, tau[i], tau[tau[i]])) for i in range(space.psi)}
+    assert len(end) == len(orbits)
+    for orbit in orbits:
+        assert len({vertex[i] for i in orbit}) == 1
+    assert {vertex[min(orbit)] for orbit in orbits} == set(range(len(end)))
+    # every edge is a tree edge or a cotree edge, never both
+    all_edges = {j for j, i in enumerate(sigma) if i < j}
+    cotree = [e for e, _, _ in tree.cotree]
+    assert len(set(cotree)) == len(cotree) and set(cotree) | set(edges) == all_edges
+    assert not set(cotree) & set(edges)
+    # each vertex but the root hangs below a parent numbered before it, so
+    # every vertex reaches the root (one component), and it lies in its
+    # parent's subtree, which is the contiguous preorder range
+    assert sorted(child for child, _ in edges.values()) == list(range(1, len(end)))
+    parent = [None] * len(end)
+    for e, (child, sign) in edges.items():
+        head, tail = vertex[e], vertex[sigma[e]]
+        assert child == (head if sign == 1 else tail)
+        parent[child] = tail if sign == 1 else head
+        assert parent[child] < child < end[child] <= end[parent[child]]
+    assert end[0] == len(end)
+    for e, head, tail in tree.cotree:
+        assert (head, tail) == (vertex[e], vertex[sigma[e]])
+    assert len(tree.cotree) == 2 * genus_x0(N) + cusp_count_x0(N) - 1
 
 
 def test_echelon_matches_dense_oracles_on_random_matrices():
@@ -244,7 +309,21 @@ def test_rank_mod_p_rejects_non_odd_primes():
         for p in (0, 1, 2, 4, 9):
             with pytest.raises(ValueError, match="odd prime"):
                 space.rank_mod_p(p)
-            assert p not in space._echelons, (N, p)
+            assert space._tree is None, (N, p)  # a rejected p builds nothing
+        assert space.rank_mod_p(3) == space.psi - (2 * genus_x0(N) + cusp_count_x0(N) - 1)
+
+
+def test_build_space_guards_psi_before_listing(monkeypatch):
+    listed = []
+    p1 = maninspace.p1_list
+    monkeypatch.setattr(maninspace, "p1_list", lambda N: listed.append(N) or p1(N))
+    # the primes 999983 and 1000003 (psi = N + 1) lie on either side of the bound
+    assert index_x0(999983) <= MAX_PSI < index_x0(1000003)
+    for N in (1000003, 2 * 3 * 5 * 7 * 11 * 13 * 17, 10**7):
+        with pytest.raises(ValueError, match="level guard"):
+            build_space(N)
+    assert listed == []
+    assert build_space(30).psi == index_x0(30) and listed == [30]
 
 
 def test_quotient_rank_mod_p_rejects_foreign_symbols(get_space):
