@@ -48,7 +48,6 @@ from .redux import (
     additive_excluded,
     brute_force_census,
     method_a_verdict,
-    orders_divisible_by,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +85,6 @@ __all__ = [
     "isqrt",
     "merel_matrices",
     "method_a_verdict",
-    "orders_divisible_by",
     "p1_list",
     "quotient_rank_mod_p",
     "t3_divisibility",

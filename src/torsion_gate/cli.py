@@ -20,7 +20,7 @@ from .exactmath import PrimePower, factorize
 from .gate import ConditionEvidence, GateReport, verify_cyclic_exclusion
 from .hecke import generic_winding_expansion, hecke_action, winding_symbol
 from .maninspace import build_space, cusp_count_x0, genus_x0
-from .redux import BRUTE_FORCE_MAX_Q, admissible_traces, brute_force_census, orders_divisible_by
+from .redux import BRUTE_FORCE_MAX_Q, admissible_traces, brute_force_census
 
 __all__ = ["CASE_LEVELS", "canonical_json", "main"]
 
@@ -215,6 +215,8 @@ def cmd_census(args) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.N is not None and args.N < 1:
+        raise ValueError("N must be positive")
     pp = PrimePower(p, n)
     t0 = time.monotonic_ns()
     predicted = admissible_traces(pp)
@@ -244,7 +246,7 @@ def cmd_census(args) -> int:
         f"  verdict: {'MATCH' if match else 'MISMATCH'}",
     ]
     if args.N is not None:
-        hits = sorted(orders_divisible_by(pp, args.N))
+        hits = sorted(o for o in predicted.orders if o % args.N == 0)
         observed_hits = sorted(o for o in observed.orders if o % args.N == 0)
         ok = not hits
         evidence.append(

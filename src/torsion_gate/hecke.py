@@ -20,6 +20,7 @@ p of these rows is engine code; their rank over Q is test-only.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -79,17 +80,24 @@ def winding_symbol(N: int) -> ManinSymbol:
     return ManinSymbol(0, 0) if N == 1 else ManinSymbol(0, 1)
 
 
+def _kept_translates(N: int, n: int, u: int, v: int):
+    """The right translates (u,v).m mod N over ``merel_matrices(n)``, in order,
+    less those the omission rule drops: a translate with gcd(u', v', N) != 1
+    lies outside P^1(Z/NZ)."""
+    for m in merel_matrices(n):
+        up = (u * m.a + v * m.c) % N
+        vp = (u * m.b + v * m.d) % N
+        if gcd(gcd(up, vp), N) == 1:
+            yield up, vp
+
+
 def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
     """T_n applied to one canonical symbol, as a column row of ``space``."""
     N = space.N
     if not (gcd(gcd(x.u, x.v), N) == 1 and space.gens[space.index(x.u, x.v)] == x):
         raise ValueError(f"{x} is not a canonical symbol at level {N}")
-    acc: dict[int, int] = {}
-    for m in merel_matrices(n):
-        up = (x.u * m.a + x.v * m.c) % N
-        vp = (x.u * m.b + x.v * m.d) % N
-        if gcd(gcd(up, vp), N) != 1:
-            continue  # omission rule: translate left P^1(Z/NZ)
+    acc: dict[int, int] = {}  # a dict, not a Counter: building one costs more than these few terms
+    for up, vp in _kept_translates(N, n, x.u, x.v):
         col = space.index(up, vp)
         acc[col] = acc.get(col, 0) + 1
     return acc
@@ -102,13 +110,7 @@ def generic_winding_expansion(N: int, n: int) -> tuple[tuple[tuple[int, int], in
     omission rule, so for small n this reproduces the level-independent
     displayed expansions.  Sorted by raw pair.
     """
-    acc: dict[tuple[int, int], int] = {}
-    for m in merel_matrices(n):
-        pair = (m.c % N, m.d % N)  # (0,1).[[a,b],[c,d]] = (c, d)
-        if gcd(gcd(pair[0], pair[1]), N) != 1:
-            continue
-        acc[pair] = acc.get(pair, 0) + 1
-    return tuple(sorted(acc.items()))
+    return tuple(sorted(Counter(_kept_translates(N, n, 0, 1)).items()))
 
 
 def criterion_vectors(space: SymbolSpace, d: int) -> list[dict[int, int]]:

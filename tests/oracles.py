@@ -14,7 +14,10 @@ every coefficient triple (a, b, c), the census by translation orbits
 alone, the finite-field operations (addition, powers, inverses,
 negation, subtraction and the quadratic character by Euler's criterion)
 that the census no longer needs now that it adds and multiplies through
-tables, and the search for a default modulus by Rabin's test alone.
+tables.  Field multiplication here is a polynomial product reduced mod
+the field's modulus, and Rabin's irreducibility test and the search for
+the first primitive modulus x^n - r are this module's own, so no oracle
+calls the engine's field arithmetic.
 Beside them sit the helpers only tests need, on the engine's column
 rows: the rank over Q of extra rows in the quotient
 (:func:`quotient_rank_q`, by Bareiss; the engine needs that rank only
@@ -27,10 +30,9 @@ from __future__ import annotations
 
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from itertools import product
 from typing import Iterable, Mapping
 
-from torsion_gate.exactmath import _DEFAULT_MODULI, FiniteField, PrimePower, _rabin, divisors, field_make, gcd
+from torsion_gate.exactmath import FiniteField, PrimePower, divisors, factorize, field_make, gcd
 from torsion_gate.hecke import merel_matrices
 from torsion_gate.maninspace import ManinSymbol, SymbolSpace
 from torsion_gate.redux import BRUTE_FORCE_MAX_Q, BruteForceCensus
@@ -363,14 +365,21 @@ def field_sub(F: FiniteField, a: int, b: int) -> int:
     return field_add(F, a, field_neg(F, b))
 
 
+def field_mul(F: FiniteField, a: int, b: int) -> int:
+    """a * b in F: the product of the two coefficient vectors, reduced mod ``F.modulus``."""
+    p = F.p
+    prod = poly_mulmod(digits(a, p, F.n), digits(b, p, F.n), F.modulus, p)
+    return sum(c * p**i for i, c in enumerate(prod))
+
+
 def field_pow(F: FiniteField, a: int, e: int) -> int:
     """a^e in F (e >= 0) by square-and-multiply."""
     acc = 1
     base = a
     while e:
         if e & 1:
-            acc = F.mul(acc, base)
-        base = F.mul(base, base)
+            acc = field_mul(F, acc, base)
+        base = field_mul(F, base, base)
         e >>= 1
     return acc
 
@@ -390,23 +399,97 @@ def quadratic_character(F: FiniteField, a: int) -> int:
     c = field_pow(F, a, (F.q - 1) // 2)
     if c == 1:
         return 1
-    assert c == F.from_coeffs((F.p - 1,)), "x^((q-1)/2) must be +-1"
+    assert c == F.p - 1, "x^((q-1)/2) must be +-1"  # -1 has index p - 1
     return -1
 
 
-def default_modulus_by_rabin(p: int, n: int) -> tuple[int, ...]:
-    """The default modulus of F_{p^n}: pinned, else the first monic
-    irreducible polynomial in lexicographic coefficient order, each
-    candidate decided by Rabin's test alone."""
-    if n == 1:
-        return (0, 1)
-    if (p, n) in _DEFAULT_MODULI:
-        return _DEFAULT_MODULI[(p, n)]
-    for digits in product(range(p), repeat=n):  # c_0 varies slowest, c_{n-1} fastest
-        f = digits + (1,)
-        if _rabin(f, p):
+# ---------------------------------------------------------------------------
+# dense polynomials over F_p: little-endian coefficient lists, no trailing zeros
+# ---------------------------------------------------------------------------
+
+
+def digits(a: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of a, least significant first."""
+    return [a // p**i % p for i in range(n)]
+
+
+def _ptrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def poly_mod(a: list[int], f, p: int) -> list[int]:
+    """a mod a monic f over F_p, by long division."""
+    a = [c % p for c in a]
+    df = len(f) - 1
+    for i in range(len(a) - 1, df - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(df + 1):
+                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
+    return _ptrim(a[:df])
+
+
+def poly_mulmod(a, b, f, p: int) -> list[int]:
+    """a * b mod a monic f over F_p, by schoolbook multiplication."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return poly_mod(out, f, p)
+
+
+def poly_powmod(a, e: int, f, p: int) -> list[int]:
+    """a^e mod a monic f over F_p (e >= 0), by square-and-multiply."""
+    acc = poly_mod([1], f, p)
+    while e:
+        if e & 1:
+            acc = poly_mulmod(acc, a, f, p)
+        a = poly_mulmod(a, a, f, p)
+        e >>= 1
+    return acc
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = b, poly_mod(a, [c * inv % p for c in b], p)
+    return a
+
+
+def rabin(f, p: int) -> bool:
+    """Rabin's irreducibility test for a monic f of degree n >= 1 over F_p:
+    x^(p^n) = x mod f, and gcd(f, x^(p^(n/r)) - x) = 1 for each prime r | n."""
+    n = len(f) - 1
+    x = poly_mod([0, 1], f, p)
+
+    def frobenius_minus_x(k: int) -> list[int]:  # x^(p^k) - x mod f
+        h = poly_powmod(x, p**k, f, p)
+        width = max(len(h), len(x))
+        h, x0 = h + [0] * (width - len(h)), x + [0] * (width - len(x))
+        return _ptrim([(c - d) % p for c, d in zip(h, x0)])
+
+    if frobenius_minus_x(n):
+        return False
+    return all(len(_poly_gcd(list(f), frobenius_minus_x(n // r), p)) == 1 for r in factorize(n).primes)
+
+
+def x_has_order(f, p: int, m: int) -> bool:
+    """Whether x has multiplicative order exactly m modulo the monic f over F_p."""
+    x = poly_mod([0, 1], f, p)
+    return poly_powmod(x, m, f, p) == [1] and all(poly_powmod(x, m // r, f, p) != [1] for r in factorize(m).primes)
+
+
+def first_primitive_modulus(p: int, n: int) -> tuple[int, ...]:
+    """The first f = x^n - r, r in ascending index order, that Rabin's test
+    finds irreducible and modulo which x has order p^n - 1."""
+    q = p**n
+    for r in range(1, q):
+        f = tuple(-c % p for c in digits(r, p, n)) + (1,)
+        if rabin(f, p) and x_has_order(f, p, q - 1):
             return f
-    raise AssertionError("an irreducible polynomial of every degree exists")
+    raise AssertionError("a primitive polynomial of every degree exists")
 
 
 def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
@@ -438,7 +521,7 @@ def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
     F = field_make(pp)
     rng = range(q)
     add = [[field_add(F, a, b) for b in rng] for a in rng]
-    mul = [[F.mul(a, b) for b in rng] for a in rng]
+    mul = [[field_mul(F, a, b) for b in rng] for a in rng]
     chi = [quadratic_character(F, a) for a in rng]
     sq = [mul[x][x] for x in rng]
     cube = [mul[x][sq[x]] for x in rng]
@@ -486,7 +569,7 @@ def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:
     F = field_make(pp)
     rng = range(q)
     add = [[field_add(F, a, b) for b in rng] for a in rng]
-    mul = [[F.mul(a, b) for b in rng] for a in rng]
+    mul = [[field_mul(F, a, b) for b in rng] for a in rng]
     chi = [quadratic_character(F, a) for a in rng]
     sq = [mul[x][x] for x in rng]
     cube = [mul[x][sq[x]] for x in rng]

@@ -9,7 +9,6 @@ import pytest
 from torsion_gate.exactmath import (
     Factorization,
     PrimePower,
-    _is_irreducible,
     divisors,
     euler_phi,
     factorize,
@@ -18,7 +17,16 @@ from torsion_gate.exactmath import (
     isqrt,
 )
 
-from oracles import default_modulus_by_rabin, field_add, field_inv, field_pow, field_sub, quadratic_character
+from oracles import (
+    field_add,
+    field_inv,
+    field_mul,
+    field_sub,
+    first_primitive_modulus,
+    quadratic_character,
+    rabin,
+    x_has_order,
+)
 
 
 def test_factorize_examples():
@@ -91,22 +99,6 @@ def test_prime_power_validation():
         PrimePower(3, 0)
 
 
-def test_field_default_moduli():
-    f27 = field_make(PrimePower(3, 3))
-    assert f27.modulus == (2, 2, 0, 1)  # x^3 - x - 1
-    # no roots in F_3: values of x^3 - x - 1 at 0, 1, 2
-    assert [(x**3 - x - 1) % 3 for x in range(3)] == [2, 2, 2]
-    f9 = field_make(PrimePower(3, 2))
-    assert f9.modulus == (1, 0, 1)  # x^2 + 1; -1 is not a square mod 3
-
-
-def test_field_rejects_reducible_modulus():
-    with pytest.raises(ValueError):
-        field_make(PrimePower(3, 2), (2, 0, 1))  # x^2 - 1 = (x-1)(x+1)
-    with pytest.raises(ValueError):
-        field_make(PrimePower(3, 3), (0, 0, 0, 1))  # x^3
-
-
 def test_prime_field_character_is_legendre():
     f3 = field_make(PrimePower(3, 1))
     assert [quadratic_character(f3, a) for a in range(3)] == [0, 1, -1]
@@ -122,7 +114,7 @@ def test_field_axioms_exhaustive(p, n):
     f = field_make(PrimePower(p, n))
     q = f.q
     for a in range(1, q):
-        assert f.mul(a, field_inv(f, a)) == 1
+        assert field_mul(f, a, field_inv(f, a)) == 1
     # quadratic character splits the nonzero elements evenly
     chars = [quadratic_character(f, a) for a in range(q)]
     assert chars.count(0) == 1
@@ -135,11 +127,11 @@ def test_field_arithmetic_spot_checks():
     for a in (0, 1, 5, 13, 26):
         for b in (0, 2, 7, 19):
             assert field_add(f, a, b) == field_add(f, b, a)
-            assert f.mul(a, b) == f.mul(b, a)
+            assert field_mul(f, a, b) == field_mul(f, b, a)
             assert field_sub(f, field_add(f, a, b), b) == a
     # distributivity sample
     for a, b, c in [(4, 9, 22), (1, 2, 3), (25, 13, 7)]:
-        assert f.mul(a, field_add(f, b, c)) == field_add(f, f.mul(a, b), f.mul(a, c))
+        assert field_mul(f, a, field_add(f, b, c)) == field_add(f, field_mul(f, a, b), field_mul(f, a, c))
 
 
 ODD_PRIME_POWERS_TO_343 = [(p, n) for p in range(3, 344, 2) if is_prime(p) for n in range(1, 6) if p**n <= 343]
@@ -153,13 +145,17 @@ def _mobius(n: int) -> int:
 @pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)
 def test_irreducible_count_is_gauss(p, n):
     # the monic irreducibles of degree n over F_p number (1/n) sum_{d | n} mu(d) p^(n/d)
-    accepted = sum(_is_irreducible(digits + (1,), p) for digits in product(range(p), repeat=n))
+    accepted = sum(rabin(digits + (1,), p) for digits in product(range(p), repeat=n))
     assert n * accepted == sum(_mobius(d) * p ** (n // d) for d in divisors(n))
 
 
-@pytest.mark.parametrize("p,n", [(p, n) for p, n in ODD_PRIME_POWERS_TO_343 if n > 1])
+@pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)
 def test_default_modulus_matches_rabin_search(p, n):
-    assert field_make(PrimePower(p, n)).modulus == default_modulus_by_rabin(p, n)
+    # the modulus is x^n - r for the least r that gives an irreducible f (by Rabin's
+    # test) modulo which x has order q - 1: every smaller candidate is not primitive
+    f = field_make(PrimePower(p, n)).modulus
+    assert f == first_primitive_modulus(p, n)
+    assert rabin(f, p) and x_has_order(f, p, p**n - 1)
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p, n in ODD_PRIME_POWERS_TO_343 if p**n <= 125 or p**n in (243, 343)])
@@ -177,25 +173,13 @@ def test_log_tables(p, n):
     f = field_make(PrimePower(p, n))
     q, m = f.q, f.q - 1
     _, exp, log = f.tables()
-    g = exp[1]
+    x = exp[1]
+    assert x == (p if n > 1 else -f.modulus[0] % p)  # x itself, which is r when n = 1
     assert len(exp) == m and len(set(exp)) == m and 0 not in exp
     assert log[0] is None
-    assert all(log[x] == k for k, x in enumerate(exp))
-    assert all(exp[(k + 1) % m] == f.mul(exp[k], g) for k in range(m))
-    assert all(1 - 2 * (log[x] % 2) == quadratic_character(f, x) for x in range(1, q))
-    # g is the least generator: every smaller unit has order below m
-    prime_divisors = factorize(m).primes
-    for h in range(1, g):
-        assert any(field_pow(f, h, m // r) == 1 for r in prime_divisors)
-
-
-def test_tables_stop_on_reducible_modulus():
-    # __init__ rejects such a modulus; were one to slip through, a zero divisor's powers
-    # would cycle without reaching 1, and the walk must stop instead of growing forever
-    f = field_make(PrimePower(3, 2))
-    f.modulus = (2, 0, 1)  # x^2 - 1 = (x-1)(x+1)
-    with pytest.raises(RuntimeError, match="reducible"):
-        f.tables()
+    assert all(log[a] == k for k, a in enumerate(exp))
+    assert all(exp[(k + 1) % m] == field_mul(f, exp[k], x) for k in range(m))
+    assert all(1 - 2 * (log[a] % 2) == quadratic_character(f, a) for a in range(1, q))
 
 
 def test_field_rejects_char2_extension():

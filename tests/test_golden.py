@@ -4,7 +4,10 @@
 to its exit code, its stderr and its JSON report without ``timing``.  The
 calls reach every evidence branch of the verdict chain: the T3 and T4
 routes, method A, a gonality failure off the finite-Jacobian table, an
-exhausted and a capped witness search, and d > 3.  Regenerate the file
+exhausted and a capped witness search, and d > 3.  The census calls
+cover both slices of the characteristic-3 scan (27, 243), fields of
+degree 3, 4 and 5 (27, 343, 81, 243), q at the size guard (343) and
+``--N`` with and without admissible hits.  Regenerate the file
 with ``PYTHONPATH=src python tests/test_golden.py`` only when a report is
 meant to change, and review the diff.
 """
@@ -37,6 +40,9 @@ GOLDEN_CALLS = (
     "homology --N 169",
     "hecke --N 169 --n 5",
     "census --q 27 --N 25",
+    "census --q 243 --N 22",
+    "census --q 343 --N 7",
+    "census --q 81",
 )
 
 

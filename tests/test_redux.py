@@ -12,7 +12,6 @@ from torsion_gate.redux import (
     additive_excluded,
     brute_force_census,
     method_a_verdict,
-    orders_divisible_by,
 )
 
 from oracles import brute_force_census_by_translation, brute_force_census_full
@@ -51,14 +50,13 @@ def test_hasse_interval_endpoints():
 
 
 def test_orders_divisible_by():
-    pp27 = PrimePower(3, 3)
-    assert orders_divisible_by(pp27, 25) == set()  # trace would be 3, inadmissible
-    assert orders_divisible_by(pp27, 22) == set()  # trace would be 6
-    assert orders_divisible_by(pp27, 49) == set()  # 49 > 38, above the interval
-    full = orders_divisible_by(pp27, 1)
-    assert full == admissible_traces(pp27).orders
-    assert len(full) == 17
-    assert orders_divisible_by(PrimePower(3, 2), 22) == set()  # 22 > 16
+    # method A and `census --N` read the orders divisible by N off the census's orders
+    orders27 = admissible_traces(PrimePower(3, 3)).orders
+    assert not any(o % 25 == 0 for o in orders27)  # trace would be 3, inadmissible
+    assert not any(o % 22 == 0 for o in orders27)  # trace would be 6
+    assert not any(o % 49 == 0 for o in orders27)  # 49 > 38, above the interval
+    assert len(orders27) == 17
+    assert not any(o % 22 == 0 for o in admissible_traces(PrimePower(3, 2)).orders)  # 22 > 16
 
 
 def test_additive_excluded():
