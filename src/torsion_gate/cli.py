@@ -179,7 +179,7 @@ def cmd_hecke(args) -> int:
     vec = hecke_action(space, args.n, winding_symbol(args.N))
     elapsed = (time.monotonic_ns() - t0) // 1_000_000
     raw_str = render_terms(raw)
-    can_str = render_terms([(space.gens[k], c) for k, c in sorted(vec.items())])
+    can_str = render_terms(sorted((space.symbol(k), c) for k, c in vec.items()))
     ev = ConditionEvidence(
         "hecke-winding-image",
         True,

@@ -7,13 +7,15 @@ T_n sends a symbol (x,y) to the sum of the right translates
 
 omitting any translate whose reduction mod N fails gcd(x',y',N) = 1
 (Merel, "Universal Fourier expansions of modular forms", Prop. 20).
-Each kept translate is classified by :meth:`SymbolSpace.index`, the
-class-table lookup the relation build uses, so the engine has one P^1
-classifier, and T_n(x) comes out as a column row: a dict from generator
-column to the number of translates in that class.  The distinguished
-symbol (0,1) is the class of the modular symbol {0, oo}; the rows
-T_1(0,1), ..., T_{2d}(0,1) feed the Kamienny-style independence test,
-which the gate runs through
+Each kept translate is classified by :meth:`SymbolSpace.index`, which
+folds the lookups in the class tables that the relation build uses at
+each prime power q || N, so the engine has one P^1 classifier, and
+T_n(x) comes out as a column row: a dict from a column (in the space's
+mixed-radix order, not the order of the symbols) to the number of
+translates in that class; :meth:`SymbolSpace.symbol` names a column.
+The distinguished symbol (0,1) is the class of the modular symbol
+{0, oo}; the rows T_1(0,1), ..., T_{2d}(0,1) feed the Kamienny-style
+independence test, which the gate runs through
 :func:`~torsion_gate.maninspace.quotient_rank_mod_p`.  Only the rank mod
 p of these rows is engine code; their rank over Q is test-only.
 """
@@ -94,7 +96,7 @@ def _kept_translates(N: int, n: int, u: int, v: int):
 def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
     """T_n applied to one canonical symbol, as a column row of ``space``."""
     N = space.N
-    if not (gcd(gcd(x.u, x.v), N) == 1 and space.gens[space.index(x.u, x.v)] == x):
+    if not (gcd(gcd(x.u, x.v), N) == 1 and space.symbol(space.index(x.u, x.v)) == x):
         raise ValueError(f"{x} is not a canonical symbol at level {N}")
     acc: dict[int, int] = {}  # a dict, not a Counter: building one costs more than these few terms
     for up, vp in _kept_translates(N, n, x.u, x.v):

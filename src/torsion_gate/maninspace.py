@@ -30,20 +30,30 @@ the vertex potentials x with x_head - x_tail = v_e on the tree edges:
 its residual on the cotree edges, the pairing of v with G's fundamental
 cycles.  So ``quotient_rank_mod_p``, rank([R; V]) - rank(R), is the rank
 mod p of the residuals of V, at most 2d rows and the engine's only
-elimination.  Vectors are column rows: dicts from a generator's column
-(its index in the sorted ``SymbolSpace.gens``) to a nonzero coefficient.
+elimination.  Vectors are column rows: dicts from a column (numbered as
+below) to a nonzero coefficient.
 
-The canonical representative of a class of P^1(Z/NZ) is its
-lexicographically least member, which has first coordinate g = gcd(u, N)
-(the divisor-canonical scheme of Stein's Algorithm 8.29).  For g < N,
-(g, v) ~ (g, v') exactly when v = v' (mod m = N/g), since the scalars
-fixing g are the units t = 1 (mod m).  So the class of (g, w) is
-``classes[g][w mod m]``, from a table of length m, and a pair (u, v) is
-read off as (g, s v) for any s with s u = g (mod N), an inverse of u/g
-mod m.  The engine classifies by that lookup, :meth:`SymbolSpace.index`,
-never by normalizing a pair; Algorithm 8.29's normalization lives on only
-as the reference the tests compare against.  Sigma and tau are kept as
-permutations of the columns, and the relation rows are derived on request.
+P^1(Z/NZ) is the product of P^1(Z/qZ) over the prime powers q || N (the
+Chinese remainder theorem), and sigma and tau act on each factor
+separately.  So a space is built one prime power at a time, and its
+columns are numbered in mixed radix: the column of the class with local
+columns k_1, ..., k_r (in ascending q) is (...(k_1 psi(q_2) + k_2) psi(q_3)
++ ...) + k_r, and the global sigma and tau are the products of the local
+permutations.  Column 0 is the class of (0, 1), which is (0, 1) at every q.
+
+At a prime power q, the canonical representative of a class of P^1(Z/qZ)
+is its lexicographically least member, which has first coordinate
+g = gcd(u, q) (the divisor-canonical scheme of Stein's Algorithm 8.29).
+For g < q, (g, v) ~ (g, v') exactly when v = v' (mod m = q/g), since the
+scalars fixing g are the units t = 1 (mod m).  So the local class of
+(g, w) is ``classes[g][w mod m]``, from a table of length m, and a pair
+(u, v) is read off as (g, s v) for any s with s u = g (mod q), an inverse
+of u/g mod m.  The engine classifies by those lookups, folded over the
+prime powers (:meth:`SymbolSpace.index`), never by normalizing a pair;
+Algorithm 8.29's normalization lives on only as the reference the tests
+compare against.  :meth:`SymbolSpace.symbol` goes the other way, from a
+column to the level's canonical symbol, by the Chinese remainder theorem.
+The relation rows are derived from sigma and tau on request.
 """
 
 from __future__ import annotations
@@ -80,8 +90,8 @@ def p1_list(N: int) -> tuple[ManinSymbol, ...]:
 
     Every class has a member (g, v) with g = gcd(u, N) dividing N.  For
     g < N the classes are the residues w mod m = N/g with gcd(w, g, m) = 1
-    (module docstring), each represented by its least lift w + km coprime
-    to g.
+    (module docstring, with N for q), each represented by its least lift
+    w + km coprime to g.
     """
     if N < 1:
         raise ValueError("level must be positive")
@@ -172,45 +182,88 @@ class _SpanningTree(NamedTuple):
     cotree: list[tuple[int, int, int]]  # (edge, head, tail) for every other edge, self-loops included
 
 
-class SymbolSpace:
-    """Level, ordered P^1 generators, the class tables and the sigma and tau permutations.
+class _Factor(NamedTuple):
+    """The local space at one prime power q || N: P^1(Z/qZ) listed by :func:`p1_list`, and its class tables.
 
-    ``_sigma[i]`` and ``_tau[i]`` are the columns of gens[i].sigma and
-    gens[i].tau.  The first rank query builds the spanning tree of the
-    tau-orbit graph (module docstring), which serves every prime; since the
-    presentation has no odd torsion, :attr:`rank_q` is the rank mod 3.
-
-    The space also holds the class tables of the module docstring:
-    ``_scale[u]``, an s with s u = g = gcd(u, N) (mod N), and
-    ``_classes[g][w mod N/g]``, the column of (g, w), with key 0 (u = 0)
-    a one-entry table, the column of (0, 1).  :meth:`index` reads them; it
-    is the engine's only P^1 classifier.
+    ``scale[u]`` is an s with s u = g = gcd(u, q) (mod q), and
+    ``classes[g][w mod q/g]`` the local column of (g, w), with key 0
+    (u = 0) a one-entry table, the column of (0, 1).
     """
 
-    def __init__(self, N: int, gens: tuple[ManinSymbol, ...], scale: list[int], classes: dict[int, list[int]],
-                 sigma: list[int], tau: list[int]):
+    q: int
+    gens: tuple[ManinSymbol, ...]
+    scale: list[int]
+    classes: dict[int, list[int]]
+
+
+class SymbolSpace:
+    """Level, its local spaces at the prime powers q || N, and the sigma and tau permutations.
+
+    ``_sigma[k]`` and ``_tau[k]`` are the columns of x.sigma and x.tau for
+    the class x of column k, numbered in the mixed radix of the module
+    docstring.  The first rank query builds the spanning tree of the
+    tau-orbit graph, which serves every prime; since the presentation has
+    no odd torsion, :attr:`rank_q` is the rank mod 3.
+
+    :meth:`index`, which folds the lookups in the local class tables, is
+    the engine's only P^1 classifier; :meth:`symbol` names a column's class.
+    """
+
+    def __init__(self, N: int, factors: tuple[_Factor, ...], sigma: list[int], tau: list[int]):
         self.N = N
-        self.gens = gens
-        self._scale = scale
-        self._classes = classes
+        self._factors = factors
         self._sigma = sigma
         self._tau = tau
         self._tree: _SpanningTree | None = None
 
     def index(self, u: int, v: int) -> int:
-        """Column of the class of (u, v), looked up as (g, s v) mod N/g; see the module docstring.
+        """Column of the class of (u, v): at each q, (u, v) mod q is looked up as (g, s v) mod q/g.
 
         (u, v) must be a point of P^1(Z/NZ): callers check gcd(u, v, N) = 1
-        first, since for any other pair the tables give -1 or an unrelated column.
+        first, since for any other pair the tables give an unrelated or negative column.
         """
-        N = self.N
-        s = self._scale[u % N]
-        table = self._classes[s * u % N]
-        return table[s * v % len(table)]
+        k = 0
+        for q, gens, scale, classes in self._factors:
+            s = scale[u % q]
+            table = classes[s * u % q]
+            k = k * len(gens) + table[s * v % len(table)]
+        return k
+
+    def symbol(self, k: int) -> ManinSymbol:
+        """The canonical (lexicographically least) symbol of column k's class.
+
+        Its first coordinate is g = gcd(u, N), the product of the local g_i
+        (q for a local (0, 1)).  Where g_i < q, (g, v) is the local class
+        (g_i, w_i) exactly when v = (g/g_i) w_i (mod q/g_i); where g_i = q,
+        when v is prime to q.  So v is the least solution, by the Chinese
+        remainder theorem, lifted by steps of N/g until it is prime to those q.
+        """
+        if k not in range(self.psi):
+            raise IndexError(f"column {k!r} is not a generator at level {self.N}")
+        local = []
+        for q, gens, _, _ in reversed(self._factors):
+            k, i = divmod(k, len(gens))
+            local.append((q, gens[i]))
+        g = 1
+        for q, (u, _) in local:
+            g *= u or q
+        if g == self.N:  # u = 0 mod N: the class of (0, 1), or (0, 0) when N = 1
+            return ManinSymbol(0, 1 % self.N)
+        v, m, coprime = 0, 1, 1  # v mod m so far, and the product of the q that v must be prime to
+        for q, (u, w) in local:
+            if u:
+                mq = q // u
+                v += m * ((g // u * w - v) * pow(m, -1, mq) % mq)
+                m *= mq
+            else:
+                coprime *= q
+        while gcd(v, coprime) != 1:
+            v += m
+        return ManinSymbol(g, v)
 
     @property
     def psi(self) -> int:
-        return len(self.gens)
+        return len(self._sigma)
 
     @property
     def relation_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -294,47 +347,63 @@ class SymbolSpace:
 
 
 # `homology --N 999983` (psi = 999984, just under the bound) takes about 5.9 s and
-# peaks at about 285 MB RSS (2-core Xeon VM, CPython 3.11.7).
+# peaks at about 285 MB RSS; `homology --N 255255` (3*5*7*11*13*17, psi = 580608, a
+# composite level near the bound) takes about 1.3 s and peaks at about 103 MB RSS
+# (2-core Xeon VM, CPython 3.11.7).
 MAX_PSI = 10**6
 
 
+def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
+    """The local space at q = p^e, with its sigma and tau permutations of the local columns."""
+    gens = p1_list(q)
+    assert len(gens) == q // p * (p + 1), f"P^1(Z/{q}) enumeration does not match psi"
+    scale = [0] * q  # scale[g x] = x^-1 mod q/g, for x a unit mod q/g
+    classes = {}  # classes[g][w]: the local column of (g, w), for w mod q/g; keyed by gcd(u, q) mod q
+    for g in divisors(q)[:-1]:
+        m = q // g
+        unit = bytearray(b"\1") * m
+        unit[::p] = bytes(m // p)
+        for x in compress(range(m), unit):
+            scale[g * x] = pow(x, -1, m)
+        classes[g] = [-1] * m  # -1 marks a residue that is no class
+    for i, (g, v) in enumerate(gens[1:], 1):
+        classes[g][v % (q // g)] = i
+    classes[0] = [0]  # u = 0 mod q: every (0, w) in P^1 is the class of (0, 1)
+
+    # (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v): one scale, one table
+    sigma = [0] * len(gens)
+    tau = [0] * len(gens)
+    for i, (u, v) in enumerate(gens):
+        s = scale[v]
+        table = classes[s * v % q]
+        m = len(table)
+        sigma[i] = table[-s * u % m]
+        tau[i] = table[-s * (u + v) % m]
+    assert -1 not in sigma and -1 not in tau, f"a translate missed the class tables at q={q}"
+    return _Factor(q, gens, scale, classes), sigma, tau
+
+
 def build_space(N: int) -> SymbolSpace:
-    """Assemble the generators (from :func:`p1_list`), the class tables and the sigma and tau permutations.
+    """Assemble the local spaces at the prime powers q || N, and sigma and tau as their products.
 
     Raises ValueError, before building anything, when psi(N) exceeds :data:`MAX_PSI`.
     """
     psi = index_x0(N)
     if psi > MAX_PSI:
         raise ValueError(f"level guard: psi({N}) = {psi} exceeds {MAX_PSI}")
-    gens = p1_list(N)
-    assert len(gens) == psi, f"P^1(Z/{N}) enumeration does not match psi"
-    primes = [q for q, _ in factorize(N)]
-    scale = [0] * N  # scale[g x] = x^-1 mod N/g, for x a unit mod N/g
-    classes = {}  # classes[g][w]: the column of (g, w), for w mod N/g; keyed by gcd(u, N) mod N
-    for g in divisors(N)[:-1]:
-        m = N // g
-        unit = bytearray(b"\1") * m
-        for q in primes:
-            if m % q == 0:
-                unit[::q] = bytes(m // q)
-        for x in compress(range(m), unit):
-            scale[g * x] = pow(x, -1, m)
-        classes[g] = [-1] * m  # -1 marks a residue that is no class
-    for i, (g, v) in enumerate(gens[1:], 1):
-        classes[g][v % (N // g)] = i
-    classes[0] = [0]  # u = 0 mod N: every (0, w) in P^1 is the class of (0, 1)
-
-    # (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v): one scale, one table
-    sigma = [0] * psi
-    tau = [0] * psi
-    for i, (u, v) in enumerate(gens):
-        s = scale[v]
-        table = classes[s * v % N]
-        m = len(table)
-        sigma[i] = table[-s * u % m]
-        tau[i] = table[-s * (u + v) % m]
-    assert -1 not in sigma and -1 not in tau, f"a translate missed the class tables at N={N}"
-    return SymbolSpace(N, gens, scale, classes, sigma, tau)
+    factors = []
+    sigma, tau = [0], [0]  # the one class of P^1(Z/1Z)
+    for p, e in factorize(N):
+        factor, local_sigma, local_tau = _local_space(p, p**e)
+        if factors:  # column k * n + b for the class of column k so far and local column b
+            n = len(factor.gens)
+            sigma = [a * n + b for a in sigma for b in local_sigma]
+            tau = [a * n + b for a in tau for b in local_tau]
+        else:  # taken as they are: a copy adds about 60 MB to the peak RSS at a prime near MAX_PSI
+            sigma, tau = local_sigma, local_tau
+        factors.append(factor)
+    assert len(sigma) == psi
+    return SymbolSpace(N, tuple(factors), sigma, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def quotient_rank_q(space: SymbolSpace, vectors: list[dict[int, int]]) -> int:
 
 def symbol_view(space: SymbolSpace, row: dict[int, int]) -> dict[ManinSymbol, int]:
     """A column row keyed by the symbols its columns stand for."""
-    return {space.gens[col]: c for col, c in row.items()}
+    return {space.symbol(col): c for col, c in row.items()}
 
 
 def row_combination(scaled_rows: Iterable[tuple[int, dict[int, int]]]) -> dict[int, int]:

@@ -139,8 +139,9 @@ def test_hecke_output(capsys):
 
 @pytest.mark.parametrize("N", (169, 1001, 2431))
 def test_hecke_canonical_form_matches_normalize_oracle(capsys, N):
-    # the canonical form is rendered in column order; p1_list is sorted, so
-    # that must be the symbol order of the oracle's terms
+    # the canonical form is rendered in symbol order, whatever the column
+    # order, so it is the oracle's terms sorted; 1001 and 2431 are composite,
+    # where the mixed-radix columns are not in symbol order
     for n in range(1, 7):
         code, out = run_cli(capsys, "hecke", "--N", str(N), "--n", str(n), "--format", "json")
         assert code == 0

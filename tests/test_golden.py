@@ -7,7 +7,10 @@ routes, method A, a gonality failure off the finite-Jacobian table, an
 exhausted and a capped witness search, and d > 3.  The census calls
 cover both slices of the characteristic-3 scan (27, 243), fields of
 degree 3, 4 and 5 (27, 343, 81, 243), q at the size guard (343) and
-``--N`` with and without admissible hits.  Regenerate the file
+``--N`` with and without admissible hits.  The composite levels 30, 1001
+and 2431 pin ``hecke``, ``homology`` and ``verify`` where the columns are
+numbered over several prime powers; at 30 the factor 2 has a sigma-fixed
+point.  Regenerate the file
 with ``PYTHONPATH=src python tests/test_golden.py`` only when a report is
 meant to change, and review the diff.
 """
@@ -34,11 +37,15 @@ GOLDEN_CALLS = (
     "verify --N 121 --d 3",
     "verify --N 169 --d 3 --p-max 3",
     "verify --N 91 --d 4",
+    "verify --N 2431 --d 3",
     "reproduce --d 1",
     "reproduce --d 2",
     "reproduce --d 3",
     "homology --N 169",
+    "homology --N 1001",
     "hecke --N 169 --n 5",
+    "hecke --N 2431 --n 6",
+    "hecke --N 30 --n 5",
     "census --q 27 --N 25",
     "census --q 243 --N 22",
     "census --q 343 --N 7",

@@ -76,7 +76,7 @@ def normalized_terms(N, terms):
 
 def hecke_on_row(space, n, row):
     """T_n extended linearly to a column row."""
-    return row_combination((c, hecke_action(space, n, space.gens[col])) for col, c in row.items())
+    return row_combination((c, hecke_action(space, n, space.symbol(col))) for col, c in row.items())
 
 
 def test_merel_matrix_counts():

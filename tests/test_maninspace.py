@@ -104,21 +104,55 @@ def test_index_matches_normalize_oracle():
     # every point of P^1(Z/NZ) for N <= 120, then a seeded sample at large levels
     for N in range(1, 121):
         space = build_space(N)
-        gen_index = {s: i for i, s in enumerate(space.gens)}
         for u in range(N):
             for v in range(N):
                 if gcd(gcd(u, v), N) == 1:
-                    assert space.index(u, v) == gen_index[p1_normalize(N, u, v)], (N, u, v)
-    for N in (1000, 2187, 2431):
+                    assert space.symbol(space.index(u, v)) == p1_normalize(N, u, v), (N, u, v)
+    for N in (1000, 2187, 2431, 30030):
         space = build_space(N)
-        gen_index = {s: i for i, s in enumerate(space.gens)}
         rng = random.Random(N)
         checked = 0
         while checked < 2000:
             u, v = rng.randrange(N), rng.randrange(N)
             if gcd(gcd(u, v), N) == 1:
-                assert space.index(u, v) == gen_index[p1_normalize(N, u, v)], (N, u, v)
+                assert space.symbol(space.index(u, v)) == p1_normalize(N, u, v), (N, u, v)
                 checked += 1
+
+
+def assert_product_permutations_match_normalize_oracle(space, columns):
+    """At each column k: symbol(k) is canonical and indexes k, and sigma and tau move it as Algorithm 8.29 does."""
+    N = space.N
+    for k in columns:
+        sym = space.symbol(k)
+        assert p1_normalize(N, *sym) == sym and space.index(*sym) == k, (N, k)
+        assert space.symbol(space._sigma[k]) == p1_normalize(N, *right_translate(N, *sym, SIGMA)), (N, k)
+        assert space.symbol(space._tau[k]) == p1_normalize(N, *right_translate(N, *sym, TAU)), (N, k)
+
+
+# every level up to 300, then the benchmark's verify levels
+@pytest.mark.parametrize("N", [*range(1, 301), 1001, 1169, 1271, 2431, 2653, 2911])
+def test_product_permutations_match_normalize_oracle(N, get_space):
+    # the columns are numbered in mixed radix over the prime powers, so at a
+    # composite level their symbols are P^1(Z/NZ) in another order than p1_list's
+    space = get_space(N)
+    assert sorted(space.symbol(k) for k in range(space.psi)) == list(p1_list(N))
+    assert_product_permutations_match_normalize_oracle(space, range(space.psi))
+
+
+def test_product_permutations_match_normalize_oracle_at_30030():
+    # six prime factors, each with classes of both kinds (g = 1 and g = q)
+    space = build_space(30030)
+    assert sorted(space.symbol(k) for k in range(space.psi)) == list(p1_list(30030))
+    rng = random.Random(30030)
+    assert_product_permutations_match_normalize_oracle(space, [0, space.psi - 1, *rng.sample(range(space.psi), 2000)])
+
+
+def test_symbol_rejects_columns_outside_the_space(get_space):
+    space = get_space(11)
+    for k in (-1, space.psi):
+        with pytest.raises(IndexError, match="not a generator"):
+            space.symbol(k)
+    assert space.symbol(0) == ManinSymbol(0, 1) and get_space(1).symbol(0) == ManinSymbol(0, 0)
 
 
 def test_p1_list_entries_are_canonical_and_distinct():
@@ -159,10 +193,16 @@ def test_quotient_rank_matches_genus_cusp_formula(get_space):
 
 
 def assert_rows_match_normalize_oracle(space):
-    """One row per sigma or tau orbit: no duplicates, and the oracle's rows as a set."""
+    """One row per sigma or tau orbit: no duplicates, and the oracle's rows as a set.
+
+    The oracle numbers its columns by the sorted symbols, so its rows are
+    carried over to the space's columns first.
+    """
     rows = space.relation_rows
     assert len(set(rows)) == len(rows), space.N
-    assert set(rows) == set(relation_rows_by_normalize(space.N)), space.N
+    column = [space.index(*sym) for sym in p1_list_by_normalize(space.N)]
+    want = {tuple(sorted((column[k], c) for k, c in row)) for row in relation_rows_by_normalize(space.N)}
+    assert set(rows) == want, space.N
 
 
 def test_relation_rows_match_normalize_oracle():
@@ -288,8 +328,7 @@ def test_echelon_matches_dense_oracles_on_random_matrices():
 
 def test_sigma_relation_row_dies_in_quotient(get_space):
     space = get_space(169)
-    gen_index = {s: i for i, s in enumerate(space.gens)}
-    vec = {gen_index[ManinSymbol(0, 1)]: 1, gen_index[ManinSymbol(1, 0)]: 1}
+    vec = {space.index(0, 1): 1, space.index(1, 0): 1}
     assert quotient_rank_mod_p(space, [vec], 5) == 0
     assert quotient_rank_q(space, [vec]) == 0  # i.e. (0,1) = -(1,0) in the quotient
 
@@ -323,7 +362,8 @@ def test_build_space_guards_psi_before_listing(monkeypatch):
         with pytest.raises(ValueError, match="level guard"):
             build_space(N)
     assert listed == []
-    assert build_space(30).psi == index_x0(30) and listed == [30]
+    # a space is built from its prime powers, each listed once in ascending order
+    assert build_space(30).psi == index_x0(30) and listed == [2, 3, 5]
 
 
 def test_quotient_rank_mod_p_rejects_foreign_symbols(get_space):
