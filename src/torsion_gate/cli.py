@@ -20,7 +20,7 @@ from .exactmath import PrimePower, factorize
 from .gate import ConditionEvidence, GateReport, verify_cyclic_exclusion
 from .hecke import generic_winding_expansion, hecke_action, winding_symbol
 from .maninspace import build_space, cusp_count_x0, genus_x0
-from .redux import BRUTE_FORCE_MAX_Q, admissible_traces, brute_force_census
+from .redux import admissible_traces, brute_force_census
 
 __all__ = ["CASE_LEVELS", "canonical_json", "main"]
 
@@ -209,19 +209,13 @@ def cmd_census(args) -> int:
         print(f"torsion-gate census: error: q = {args.q} is not a prime power", file=sys.stderr)
         return 1
     (p, n), = fac
-    if p == 2 or args.q > BRUTE_FORCE_MAX_Q:
-        print(
-            f"torsion-gate census: error: q must be an odd prime power <= {BRUTE_FORCE_MAX_Q}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.N is not None and args.N < 1:
-        raise ValueError("N must be positive")
     pp = PrimePower(p, n)
     t0 = time.monotonic_ns()
+    observed = brute_force_census(pp)  # its guard comes first: odd p, q <= 343
     predicted = admissible_traces(pp)
-    observed = brute_force_census(pp)
     elapsed = (time.monotonic_ns() - t0) // 1_000_000
+    if args.N is not None and args.N < 1:
+        raise ValueError("N must be positive")
     match = observed.trace_set == predicted.traces
     evidence = [
         ConditionEvidence(

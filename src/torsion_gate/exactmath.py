@@ -21,7 +21,6 @@ from math import gcd, isqrt  # noqa: F401  re-exported: isqrt is exact for ints
 from typing import NamedTuple
 
 __all__ = [
-    "Factorization",
     "FiniteField",
     "PrimePower",
     "divisors",
@@ -50,62 +49,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Factorization:
-    """Ordered prime factorization: ((q_1, e_1), ..., (q_n, e_n)), q_j increasing.
-
-    Immutable; equal and hashed by its factors.  Not a tuple, since it
-    iterates over and counts its factors.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
-        primes = [q for q, _ in factors]
-        if primes != sorted(primes) or len(set(primes)) != len(primes):
-            raise ValueError("factors must be strictly increasing primes")
-        if any(e < 1 for _, e in factors) or not all(is_prime(q) for q in primes):
-            raise ValueError("invalid factorization")
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
-    def __repr__(self) -> str:
-        return f"Factorization(factors={self.factors!r})"
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.factors)
-
-    @property
-    def prime_powers(self) -> tuple[int, ...]:
-        """The maximal prime-power divisors q_j^{e_j}."""
-        return tuple(q**e for q, e in self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization; factorize(1) is the empty product."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Trial-division factorization: the pairs (q_j, e_j), q_j increasing; factorize(1) is ()."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
     out = []
@@ -121,7 +66,7 @@ def factorize(n: int) -> Factorization:
         f += 1 if f == 2 else 2
     if m > 1:
         out.append((m, 1))
-    return Factorization(tuple(out))
+    return tuple(out)
 
 
 def divisors(n: int) -> list[int]:

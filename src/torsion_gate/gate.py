@@ -195,7 +195,8 @@ def t3_divisibility(N: int, p: int, d: int) -> ConditionEvidence:
     witnesses: dict[str, int] = {"N": N, "p": p}
     for i in range(1, d + 1):
         witnesses[f"p_pow_{2 * i}_minus_1"] = p ** (2 * i) - 1
-    for j, qe in enumerate(factorize(N).prime_powers, start=1):
+    for j, (q, e) in enumerate(factorize(N), start=1):
+        qe = q**e
         witnesses[f"factor_{j}"] = qe
         for i in range(1, d + 1):
             val = p ** (2 * i) - 1
@@ -216,10 +217,14 @@ def t3_divisibility(N: int, p: int, d: int) -> ConditionEvidence:
     )
 
 
+def _squarefree_composite(N: int) -> bool:
+    fac = factorize(N)
+    return len(fac) >= 2 and all(e == 1 for _, e in fac)
+
+
 def t4_coprimality(N: int, p: int, d: int) -> ConditionEvidence:
     """gcd(N, p^{2i} - 1) = 1 for i = 1..d-1; N must be squarefree composite."""
-    fac = factorize(N)
-    if not fac.is_squarefree or len(fac) < 2:
+    if not _squarefree_composite(N):
         raise ValueError(f"N = {N} is not a squarefree composite")
     if N % p == 0:
         raise ValueError(f"p = {p} must not divide N = {N}")
@@ -254,37 +259,15 @@ class WitnessPrime(NamedTuple):
     evidence: list[ConditionEvidence]
 
 
-class GateReport:
-    """Structured verdict for one (N, d) pair with its full evidence chain.
+class GateReport(NamedTuple):
+    """Structured verdict for one (N, d) pair with its full evidence chain."""
 
-    Each report gets its own ``evidence`` list unless one is passed.
-    """
-
-    __slots__ = ("N", "d", "outcome", "witness_prime", "evidence", "elapsed_ms")
-
-    def __init__(
-        self,
-        N: int,
-        d: int,
-        outcome: str,
-        witness_prime: int | None,
-        evidence: list[ConditionEvidence] | None = None,
-        elapsed_ms: int = 0,
-    ) -> None:
-        self.N = N
-        self.d = d
-        self.outcome = outcome  # excluded-T3 | excluded-T4 | excluded-methodA | inconclusive
-        self.witness_prime = witness_prime
-        self.evidence = [] if evidence is None else evidence
-        self.elapsed_ms = elapsed_ms
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
-    def __repr__(self) -> str:
-        return "GateReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
+    N: int
+    d: int
+    outcome: str  # excluded-T3 | excluded-T4 | excluded-methodA | inconclusive
+    witness_prime: int | None
+    evidence: list[ConditionEvidence]
+    elapsed_ms: int
 
     @property
     def excluded(self) -> bool:
@@ -309,8 +292,7 @@ def find_witness_prime(N: int, d: int, p_max: int = 97) -> WitnessPrime | None:
         raise ValueError("p_max must be >= 3")
     if d > 3 or not (gon_ev := _gonality_evidence("X0", N, d)).passed:
         return None  # beyond the gonality tables nothing can be certified
-    fac = factorize(N)
-    squarefree_composite = fac.is_squarefree and len(fac) >= 2
+    squarefree_composite = _squarefree_composite(N)
     space: SymbolSpace | None = None
     vectors: list[dict[int, int]] = []
 

@@ -174,6 +174,14 @@ class _SpanningTree(NamedTuple):
 
     An edge is named by its column, the larger member j of its sigma pair;
     it runs from the orbit of sigma(j) to the orbit of j.
+
+    The tree is depth-first because subtrees are then contiguous ranges in
+    preorder, so :func:`quotient_rank_mod_p` gets a vector's vertex
+    potentials from one ``accumulate`` over a difference array.  A
+    breadth-first tree, with potentials filled vertex by vertex, made that
+    function about 2x slower at N = 1001 and 2.8x at N = 2431 (2-core Xeon
+    VM, CPython 3.11.7).  A tree built for short cotree cycles belongs
+    after the witness prime is found, not in the rank.
     """
 
     vertex: list[int]  # vertex[k]: the preorder number of the tau orbit of column k

@@ -185,11 +185,9 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     the values v(x) = x^3 + a x^2 + b x, so the character sum of each c
     is one C-level pick of the entries v(x) from row c.
     """
-    if pp.p == 2:
-        raise ValueError("census requires odd characteristic")
     q = pp.q
-    if q > BRUTE_FORCE_MAX_Q:
-        raise ValueError(f"census guard: q = {q} exceeds {BRUTE_FORCE_MAX_Q}")
+    if pp.p == 2 or q > BRUTE_FORCE_MAX_Q:
+        raise ValueError(f"q must be an odd prime power <= {BRUTE_FORCE_MAX_Q}")
     F = field_make(pp)
     rng = range(q)
     m = q - 1
@@ -297,10 +295,10 @@ def method_a_verdict(N: int, d: int, p: int) -> MethodAVerdict:
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if N % p == 0:
-        raise ValueError(f"p = {p} must not divide N = {N}")
     if N < 1:
         raise ValueError("N must be positive")
+    if N % p == 0:
+        raise ValueError(f"p = {p} must not divide N = {N}")
     evidence = [_finite_jacobian_evidence(N), _gonality_evidence("X1", N, d), additive_excluded(N, p, d)]
 
     for i in range(1, d + 1):

@@ -472,13 +472,13 @@ def rabin(f, p: int) -> bool:
 
     if frobenius_minus_x(n):
         return False
-    return all(len(_poly_gcd(list(f), frobenius_minus_x(n // r), p)) == 1 for r in factorize(n).primes)
+    return all(len(_poly_gcd(list(f), frobenius_minus_x(n // r), p)) == 1 for r, _ in factorize(n))
 
 
 def x_has_order(f, p: int, m: int) -> bool:
     """Whether x has multiplicative order exactly m modulo the monic f over F_p."""
     x = poly_mod([0, 1], f, p)
-    return poly_powmod(x, m, f, p) == [1] and all(poly_powmod(x, m // r, f, p) != [1] for r in factorize(m).primes)
+    return poly_powmod(x, m, f, p) == [1] and all(poly_powmod(x, m // r, f, p) != [1] for r, _ in factorize(m))
 
 
 def first_primitive_modulus(p: int, n: int) -> tuple[int, ...]:

@@ -173,9 +173,12 @@ def test_census_match(capsys):
 
 
 def test_census_guards(capsys):
-    assert cli.main(["census", "--q", "4"]) == 1  # characteristic 2
-    assert cli.main(["census", "--q", "729"]) == 1  # over the size guard
+    guard = "torsion-gate census: error: q must be an odd prime power <= 343\n"
+    for q in ("4", "729"):  # characteristic 2; over the size guard
+        assert cli.main(["census", "--q", q]) == 1
+        assert capsys.readouterr() == ("", guard)
     assert cli.main(["census", "--q", "15"]) == 1  # not a prime power
+    assert capsys.readouterr().err == "torsion-gate census: error: q = 15 is not a prime power\n"
 
 
 def test_census_json(capsys):

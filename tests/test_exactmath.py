@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 from torsion_gate.exactmath import (
-    Factorization,
     PrimePower,
     divisors,
     euler_phi,
@@ -30,33 +29,26 @@ from oracles import (
 
 
 def test_factorize_examples():
-    assert factorize(169).factors == ((13, 2),)
-    assert factorize(143).factors == ((11, 1), (13, 1))
-    assert factorize(1).factors == ()
-    assert factorize(40).factors == ((2, 3), (5, 1))
+    assert factorize(169) == ((13, 2),)
+    assert factorize(143) == ((11, 1), (13, 1))
+    assert factorize(1) == ()
+    assert factorize(40) == ((2, 3), (5, 1))
 
 
 def test_factorize_reconstructs_and_is_prime():
     for n in range(1, 2000):
         fac = factorize(n)
+        primes = [q for q, _ in fac]
         assert math.prod(q**e for q, e in fac) == n
-        assert all(is_prime(q) for q in fac.primes)
-        assert list(fac.primes) == sorted(set(fac.primes))
+        assert all(is_prime(q) for q in primes) and all(e >= 1 for _, e in fac)
+        assert primes == sorted(set(primes))
 
 
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
     with pytest.raises(ValueError):
-        Factorization(((6, 1),))
-    with pytest.raises(ValueError):
-        Factorization(((5, 1), (3, 1)))
-
-
-def test_squarefree_flag():
-    assert factorize(143).is_squarefree
-    assert not factorize(40).is_squarefree
-    assert factorize(1).is_squarefree
+        factorize(-6)
 
 
 def test_isqrt_examples():
@@ -139,7 +131,7 @@ ODD_PRIME_POWERS_TO_343 = [(p, n) for p in range(3, 344, 2) if is_prime(p) for n
 
 def _mobius(n: int) -> int:
     fac = factorize(n)
-    return 0 if not fac.is_squarefree else (-1) ** len(fac)
+    return (-1) ** len(fac) if all(e == 1 for _, e in fac) else 0
 
 
 @pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)

@@ -21,6 +21,17 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
+def test_package_reexports_each_engine_module():
+    # cli is not re-exported, so that a bare import does not load argparse
+    names = []
+    for m in ENGINE_MODULES[1:]:
+        mod = importlib.import_module(f"torsion_gate.{m}")
+        assert all(getattr(torsion_gate, name) is getattr(mod, name) for name in mod.__all__)
+        names += mod.__all__
+    assert torsion_gate.__all__ == names
+    assert not set(names) & set(importlib.import_module("torsion_gate.cli").__all__)
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from torsion_gate import *", namespace)

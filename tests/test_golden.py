@@ -10,15 +10,21 @@ degree 3, 4 and 5 (27, 343, 81, 243), q at the size guard (343) and
 ``--N`` with and without admissible hits.  The composite levels 30, 1001
 and 2431 pin ``hecke``, ``homology`` and ``verify`` where the columns are
 numbered over several prime powers; at 30 the factor 2 has a sigma-fixed
-point.  Regenerate the file
-with ``PYTHONPATH=src python tests/test_golden.py`` only when a report is
-meant to change, and review the diff.
+point.
+
+``tests/golden/text_reports.json`` maps the calls of ``TEXT_CALLS`` to
+their ``--format text`` output, with the millisecond fields masked: the
+``[N ms]`` tail of ``verify`` and the last column of ``reproduce``.
+
+Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``
+only when a report is meant to change, and review the diff.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -27,6 +33,7 @@ import pytest
 from torsion_gate import cli
 
 GOLDEN = Path(__file__).with_name("golden") / "reports.json"
+TEXT_GOLDEN = GOLDEN.with_name("text_reports.json")
 
 GOLDEN_CALLS = (
     "verify --N 169 --d 3",
@@ -52,6 +59,19 @@ GOLDEN_CALLS = (
     "census --q 81",
 )
 
+TEXT_CALLS = (
+    "verify --N 169 --d 3",
+    "verify --N 22 --d 3",
+    "verify --N 20 --d 3",
+    "reproduce --d 3",
+    "homology --N 169",
+    "hecke --N 169 --n 5",
+    "census --q 27 --N 25",
+)
+
+# verify's "[N ms]" tail, and the ms column that ends each row of reproduce's table
+MS_FIELDS = re.compile(r"\[\d+ ms\]$|(?<=^  [ \d]{4}  )(\S+ +\S+ +)\d+$", re.M)
+
 
 def canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -67,9 +87,22 @@ def run(call: str) -> dict:
     return {"exit": code, "stderr": err.getvalue(), "report": doc}
 
 
+def run_text(call: str) -> str:
+    """The call's text report, its millisecond fields masked as ``_``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.main(call.split())
+    return MS_FIELDS.sub(lambda m: "[_ ms]" if m[1] is None else m[1] + "_", out.getvalue())
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def text_golden() -> dict:
+    return json.loads(TEXT_GOLDEN.read_text())
 
 
 def test_golden_covers_exactly_the_pinned_calls(golden):
@@ -83,8 +116,20 @@ def test_report_matches_golden(call, golden):
     assert canonical(got["report"]) == canonical(want["report"])
 
 
+def test_text_golden_covers_exactly_the_pinned_calls(text_golden):
+    assert sorted(text_golden) == sorted(TEXT_CALLS)
+
+
+@pytest.mark.parametrize("call", TEXT_CALLS)
+def test_text_report_matches_golden(call, text_golden):
+    assert run_text(call) == text_golden[call]
+
+
 if __name__ == "__main__":
     table = {call: run(call) for call in GOLDEN_CALLS}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(table, sort_keys=True, indent=1) + "\n")
     print(f"wrote {len(table)} reports to {GOLDEN}")
+    texts = {call: run_text(call) for call in TEXT_CALLS}
+    TEXT_GOLDEN.write_text(json.dumps(texts, sort_keys=True, indent=1) + "\n")
+    print(f"wrote {len(texts)} text reports to {TEXT_GOLDEN}")

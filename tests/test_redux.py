@@ -93,9 +93,9 @@ def test_brute_force_excludes_target_orders_over_f27():
 
 
 def test_brute_force_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^q must be an odd prime power <= 343$"):
         brute_force_census(PrimePower(2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^q must be an odd prime power <= 343$"):
         brute_force_census(PrimePower(3, 6))  # 729 > 343
 
 
@@ -177,3 +177,6 @@ def test_method_a_verdict_validates_p():
         method_a_verdict(49, 3, 7)  # p | N
     with pytest.raises(ValueError):
         method_a_verdict(49, 3, 9)
+    for N in (0, -3):  # p = 3 divides both, but N is checked first
+        with pytest.raises(ValueError, match="N must be positive"):
+            method_a_verdict(N, 3, 3)
