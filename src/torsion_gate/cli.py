@@ -101,18 +101,12 @@ def build_parser() -> _Parser:
 
 
 def render_terms(terms) -> str:
-    """Compact rendering like ``2(0,1)+(1,2)-(1,0)``; terms must be presorted."""
-    if not terms:
-        return "0"
-    parts = []
-    for sym, c in terms:
-        mag = "" if abs(c) == 1 else str(abs(c))
-        body = f"{mag}({sym[0]},{sym[1]})"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
-    return "".join(parts)
+    """Compact rendering like ``2(0,1)+(1,2)``; terms must be presorted.
+
+    Both callers count Merel translates, so every coefficient is positive,
+    and the sum is never empty: the matrix [[n, 0], [0, 1]] keeps (0, 1).
+    """
+    return "+".join(f"{'' if c == 1 else c}({u},{v})" for (u, v), c in terms)
 
 
 def _report_lines(report: GateReport) -> list[str]:

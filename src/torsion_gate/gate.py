@@ -142,6 +142,8 @@ def gonality_exceeds(family: str, N: int, d: int) -> bool:
         raise ValueError(f"family must be 'X0' or 'X1', got {family!r}")
     if d not in GONALITY[family]:
         raise ValueError(f"gonality tables cover d = 1..3 only, got d = {d}")
+    if N < 1:
+        raise ValueError("N must be positive")
     return N not in GONALITY[family][d]
 
 

@@ -112,6 +112,8 @@ def generic_winding_expansion(N: int, n: int) -> tuple[tuple[tuple[int, int], in
     omission rule, so for small n this reproduces the level-independent
     displayed expansions.  Sorted by raw pair.
     """
+    if N < 1:
+        raise ValueError("N must be positive")
     return tuple(sorted(Counter(_kept_translates(N, n, 0, 1)).items()))
 
 

@@ -16,10 +16,10 @@ size.  For p != 3, on the slice a = 0: q for b = 0, and q (q - 1) /
 gcd(4, q - 1) per coset of the fourth powers.  For p = 3: 1 for a = b = 0
 (all singular), (q - 1) / gcd(4, q - 1) per coset of the fourth powers
 on a = 0, and q (q - 1) / 2 per coset of the squares on b = 0.  The
-cosets are powers of the class of x modulo the primitive modulus of
-``FiniteField``, which generates the units, and each point count is one
-sum over a row of the table chi_add[c][v] = chi(c + v) of the quadratic
-character chi.
+cosets are powers of the class of x modulo the primitive modulus that
+``exactmath.field_make`` chooses, which generates the units, and each
+point count is one sum over a row of the table chi_add[c][v] = chi(c + v)
+of the quadratic character chi.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ def additive_excluded(N: int, p: int, d: int) -> ConditionEvidence:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if N < 1:
+        raise ValueError("N must be positive")
     for i in range(1, d + 1):
         for c in range(1, 5):
             order = p**i * c
@@ -130,15 +132,18 @@ def additive_excluded(N: int, p: int, d: int) -> ConditionEvidence:
 
 
 class BruteForceCensus(NamedTuple):
-    """Observed traces (with curve counts) and group orders over F_q."""
+    """Observed traces over F_q, each with its curve count (always positive)."""
 
     q: int
     trace_counts: dict[int, int]
-    orders: frozenset[int]
 
     @property
     def trace_set(self) -> frozenset[int]:
         return frozenset(self.trace_counts)
+
+    @property
+    def orders(self) -> frozenset[int]:
+        return frozenset(self.q + 1 - t for t in self.trace_counts)
 
 
 def brute_force_census(pp: PrimePower) -> BruteForceCensus:
@@ -167,7 +172,7 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     Scaling then maps {b} x F_q onto {u^4 b} x F_q, count for count, so
     a slice needs one b per coset of the fourth powers, with every c.
     The units are the powers ``exp[i]`` of the class of x modulo the
-    primitive modulus of :class:`FiniteField` (the field's variable, not
+    primitive modulus of :func:`field_make` (the field's variable, not
     the curve's).  With m = q - 1 and e4 = gcd(4, m), the cosets are
     ``exp[i]`` for i < e4, each of m / e4 units, and b = 0 is its own
     class.  The curves scanned, each with its weight:
@@ -188,10 +193,9 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     q = pp.q
     if pp.p == 2 or q > BRUTE_FORCE_MAX_Q:
         raise ValueError(f"q must be an odd prime power <= {BRUTE_FORCE_MAX_Q}")
-    F = field_make(pp)
+    add, exp, log = field_make(pp)
     rng = range(q)
     m = q - 1
-    add, exp, log = F.tables()
 
     def mul(a: int, b: int) -> int:
         return exp[(log[a] + log[b]) % m] if a and b else 0
@@ -210,7 +214,6 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     cm4 = -4 % pp.p
     cm27 = -27 % pp.p
     traces: Counter = Counter()
-    orders: set[int] = set()
 
     def scan(a: int, b: int, weight: int) -> None:
         base = itemgetter(*[add[cube[x]][add[mul(a, sq[x])][mul(b, x)]] for x in rng])
@@ -221,7 +224,6 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
             if disc == 0:
                 continue
             s = sum(base(chi_add[c]))  # sum over x of chi(c + x^3 + a x^2 + b x)
-            orders.add(q + 1 + s)
             traces[-s] += weight
 
     e4 = gcd(4, m)
@@ -232,7 +234,7 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     if pp.p == 3:
         for i in range(2):
             scan(exp[i], 0, q * m // 2)
-    return BruteForceCensus(q=q, trace_counts=dict(traces), orders=frozenset(orders))
+    return BruteForceCensus(q=q, trace_counts=dict(traces))
 
 
 # ---------------------------------------------------------------------------

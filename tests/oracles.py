@@ -14,10 +14,11 @@ every coefficient triple (a, b, c), the census by translation orbits
 alone, the finite-field operations (addition, powers, inverses,
 negation, subtraction and the quadratic character by Euler's criterion)
 that the census no longer needs now that it adds and multiplies through
-tables.  Field multiplication here is a polynomial product reduced mod
-the field's modulus, and Rabin's irreducibility test and the search for
-the first primitive modulus x^n - r are this module's own, so no oracle
-calls the engine's field arithmetic.
+tables.  The oracles' field is their own record :class:`OracleField`,
+whose modulus is the first primitive x^n - r found by this module's
+Rabin test and order check (:func:`first_primitive_modulus`), and field
+multiplication is a polynomial product reduced mod that modulus, so no
+oracle reads the engine's field or its choice of modulus.
 Beside them sit the helpers only tests need, on the engine's column
 rows: the rank over Q of extra rows in the quotient
 (:func:`quotient_rank_q`, by Bareiss; the engine needs that rank only
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from torsion_gate.exactmath import FiniteField, PrimePower, divisors, factorize, field_make, gcd
+from torsion_gate.exactmath import PrimePower, divisors, factorize, gcd
 from torsion_gate.hecke import merel_matrices
 from torsion_gate.maninspace import ManinSymbol, SymbolSpace
 from torsion_gate.redux import BRUTE_FORCE_MAX_Q, BruteForceCensus
@@ -336,7 +337,21 @@ def hecke_action_by_normalize(N: int, n: int, x: ManinSymbol) -> dict[ManinSymbo
     return acc
 
 
-def field_add(F: FiniteField, a: int, b: int) -> int:
+class OracleField(NamedTuple):
+    """F_q, q = p^n, as F_p[x] modulo ``modulus`` (coefficients little-endian, monic)."""
+
+    p: int
+    n: int
+    q: int
+    modulus: tuple[int, ...]
+
+
+def oracle_field(pp: PrimePower) -> OracleField:
+    """F_q modulo this module's own first primitive modulus x^n - r."""
+    return OracleField(pp.p, pp.n, pp.q, first_primitive_modulus(pp.p, pp.n))
+
+
+def field_add(F: OracleField, a: int, b: int) -> int:
     """a + b in F, digit by digit."""
     p = F.p
     out = 0
@@ -349,7 +364,7 @@ def field_add(F: FiniteField, a: int, b: int) -> int:
     return out
 
 
-def field_neg(F: FiniteField, a: int) -> int:
+def field_neg(F: OracleField, a: int) -> int:
     """-a in F, digit by digit."""
     p = F.p
     out = 0
@@ -361,18 +376,18 @@ def field_neg(F: FiniteField, a: int) -> int:
     return out
 
 
-def field_sub(F: FiniteField, a: int, b: int) -> int:
+def field_sub(F: OracleField, a: int, b: int) -> int:
     return field_add(F, a, field_neg(F, b))
 
 
-def field_mul(F: FiniteField, a: int, b: int) -> int:
+def field_mul(F: OracleField, a: int, b: int) -> int:
     """a * b in F: the product of the two coefficient vectors, reduced mod ``F.modulus``."""
     p = F.p
     prod = poly_mulmod(digits(a, p, F.n), digits(b, p, F.n), F.modulus, p)
     return sum(c * p**i for i, c in enumerate(prod))
 
 
-def field_pow(F: FiniteField, a: int, e: int) -> int:
+def field_pow(F: OracleField, a: int, e: int) -> int:
     """a^e in F (e >= 0) by square-and-multiply."""
     acc = 1
     base = a
@@ -384,13 +399,13 @@ def field_pow(F: FiniteField, a: int, e: int) -> int:
     return acc
 
 
-def field_inv(F: FiniteField, a: int) -> int:
+def field_inv(F: OracleField, a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("inverse of zero")
     return field_pow(F, a, F.q - 2)
 
 
-def quadratic_character(F: FiniteField, a: int) -> int:
+def quadratic_character(F: OracleField, a: int) -> int:
     """Quadratic character of F_q by Euler's criterion: 0 at 0, +1 on nonzero squares, -1 otherwise."""
     if F.p == 2:
         raise ValueError("quadratic character needs odd characteristic")
@@ -518,7 +533,7 @@ def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
     q = pp.q
     if q > BRUTE_FORCE_MAX_Q:
         raise ValueError(f"census guard: q = {q} exceeds {BRUTE_FORCE_MAX_Q}")
-    F = field_make(pp)
+    F = oracle_field(pp)
     rng = range(q)
     add = [[field_add(F, a, b) for b in rng] for a in rng]
     mul = [[field_mul(F, a, b) for b in rng] for a in rng]
@@ -531,7 +546,6 @@ def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
     cm4 = -4 % pp.p
     cm27 = -27 % pp.p
     traces: Counter = Counter()
-    orders: set[int] = set()
 
     def scan(a: int, b_values, weight: int) -> None:
         a2 = sq[a]
@@ -547,7 +561,6 @@ def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
                     continue
                 add_c = add[c]
                 s = sum(chi[add_c[v]] for v in base)
-                orders.add(q + 1 + s)
                 traces[-s] += weight
 
     if pp.p != 3:
@@ -556,7 +569,7 @@ def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
         scan(0, rng, 1)
         for a in range(1, q):
             scan(a, (0,), q)
-    return BruteForceCensus(q=q, trace_counts=dict(traces), orders=frozenset(orders))
+    return BruteForceCensus(q=q, trace_counts=dict(traces))
 
 
 def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:
@@ -566,7 +579,7 @@ def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:
     character: |E| = q + 1 + sum_x chi(f(x)).
     """
     q = pp.q
-    F = field_make(pp)
+    F = oracle_field(pp)
     rng = range(q)
     add = [[field_add(F, a, b) for b in rng] for a in rng]
     mul = [[field_mul(F, a, b) for b in rng] for a in rng]
@@ -578,7 +591,6 @@ def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:
     cm4 = -4 % pp.p
     cm27 = -27 % pp.p
     traces: Counter = Counter()
-    orders: set[int] = set()
     for a in rng:
         a2 = sq[a]
         a3 = cube[a]
@@ -593,6 +605,5 @@ def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:
                     continue
                 add_c = add[c]
                 s = sum(chi[add_c[v]] for v in base)
-                orders.add(q + 1 + s)
                 traces[-s] += 1
-    return BruteForceCensus(q=q, trace_counts=dict(traces), orders=frozenset(orders))
+    return BruteForceCensus(q=q, trace_counts=dict(traces))

@@ -151,8 +151,8 @@ def test_hecke_canonical_form_matches_normalize_oracle(capsys, N):
 
 def test_render_terms():
     assert cli.render_terms([((0, 1), 2), ((1, 2), 1)]) == "2(0,1)+(1,2)"
-    assert cli.render_terms([((0, 1), -2), ((1, 2), -1)]) == "-2(0,1)-(1,2)"
-    assert cli.render_terms([]) == "0"
+    assert cli.render_terms([((0, 1), 1)]) == "(0,1)"
+    assert cli.render_terms([((0, 1), 1), ((1, 0), 12)]) == "(0,1)+12(1,0)"
 
 
 def test_hecke_index_guard(capsys):

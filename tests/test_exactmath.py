@@ -22,6 +22,7 @@ from oracles import (
     field_mul,
     field_sub,
     first_primitive_modulus,
+    oracle_field,
     quadratic_character,
     rabin,
     x_has_order,
@@ -92,9 +93,9 @@ def test_prime_power_validation():
 
 
 def test_prime_field_character_is_legendre():
-    f3 = field_make(PrimePower(3, 1))
+    f3 = oracle_field(PrimePower(3, 1))
     assert [quadratic_character(f3, a) for a in range(3)] == [0, 1, -1]
-    f7 = field_make(PrimePower(7, 1))
+    f7 = oracle_field(PrimePower(7, 1))
     squares = {a * a % 7 for a in range(1, 7)}
     for a in range(7):
         want = 0 if a == 0 else (1 if a in squares else -1)
@@ -103,7 +104,7 @@ def test_prime_field_character_is_legendre():
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3)])
 def test_field_axioms_exhaustive(p, n):
-    f = field_make(PrimePower(p, n))
+    f = oracle_field(PrimePower(p, n))
     q = f.q
     for a in range(1, q):
         assert field_mul(f, a, field_inv(f, a)) == 1
@@ -115,7 +116,7 @@ def test_field_axioms_exhaustive(p, n):
 
 
 def test_field_arithmetic_spot_checks():
-    f = field_make(PrimePower(3, 3))
+    f = oracle_field(PrimePower(3, 3))
     for a in (0, 1, 5, 13, 26):
         for b in (0, 2, 7, 19):
             assert field_add(f, a, b) == field_add(f, b, a)
@@ -144,17 +145,20 @@ def test_irreducible_count_is_gauss(p, n):
 @pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)
 def test_default_modulus_matches_rabin_search(p, n):
     # the modulus is x^n - r for the least r that gives an irreducible f (by Rabin's
-    # test) modulo which x has order q - 1: every smaller candidate is not primitive
-    f = field_make(PrimePower(p, n)).modulus
-    assert f == first_primitive_modulus(p, n)
+    # test) modulo which x has order q - 1: every smaller candidate is not primitive.
+    # The engine's modulus is x^n - exp[n], since x^n = r.
+    _, exp, _ = field_make(PrimePower(p, n))
+    f = first_primitive_modulus(p, n)
+    assert exp[n] == sum(-c % p * p**i for i, c in enumerate(f[:n]))
     assert rabin(f, p) and x_has_order(f, p, p**n - 1)
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p, n in ODD_PRIME_POWERS_TO_343 if p**n <= 125 or p**n in (243, 343)])
 def test_add_table_matches_field_add(p, n):
-    f = field_make(PrimePower(p, n))
+    pp = PrimePower(p, n)
+    f = oracle_field(pp)
     q = f.q
-    add = f.add_table()
+    add, _, _ = field_make(pp)
     assert len(add) == q
     for a in range(q):
         assert add[a] == [field_add(f, a, b) for b in range(q)]
@@ -162,9 +166,10 @@ def test_add_table_matches_field_add(p, n):
 
 @pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)
 def test_log_tables(p, n):
-    f = field_make(PrimePower(p, n))
+    pp = PrimePower(p, n)
+    f = oracle_field(pp)
     q, m = f.q, f.q - 1
-    _, exp, log = f.tables()
+    _, exp, log = field_make(pp)
     x = exp[1]
     assert x == (p if n > 1 else -f.modulus[0] % p)  # x itself, which is r when n = 1
     assert len(exp) == m and len(set(exp)) == m and 0 not in exp

@@ -14,7 +14,9 @@ point.
 
 ``tests/golden/text_reports.json`` maps the calls of ``TEXT_CALLS`` to
 their ``--format text`` output, with the millisecond fields masked: the
-``[N ms]`` tail of ``verify`` and the last column of ``reproduce``.
+``[N ms]`` tail of ``verify`` and the last column of ``reproduce``.  The
+census calls are pinned as text too, since the text report lists every
+admissible and observed trace while the JSON keeps only their counts.
 
 Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``
 only when a report is meant to change, and review the diff.
@@ -67,6 +69,9 @@ TEXT_CALLS = (
     "homology --N 169",
     "hecke --N 169 --n 5",
     "census --q 27 --N 25",
+    "census --q 3",
+    "census --q 243 --N 22",
+    "census --q 343 --N 7",
 )
 
 # verify's "[N ms]" tail, and the ms column that ends each row of reproduce's table

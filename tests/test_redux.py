@@ -6,6 +6,8 @@ import pytest
 
 from torsion_gate.cli import canonical_json
 from torsion_gate.exactmath import PrimePower, is_prime
+from torsion_gate.gate import gonality_exceeds
+from torsion_gate.hecke import generic_winding_expansion
 from torsion_gate.redux import (
     JACOBIAN_FINITE_FACTS,
     admissible_traces,
@@ -67,6 +69,23 @@ def test_additive_excluded():
     assert dict(ev.witnesses)["group_order"] == 12
     with pytest.raises(ValueError):
         additive_excluded(49, 4, 3)
+
+
+# each of these took a level without checking it: N = 0 divided by zero (or, for the
+# gonality gate, passed), and a negative N ran on
+@pytest.mark.parametrize("N", (0, -3, -4))
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda N: generic_winding_expansion(N, 5),
+        lambda N: additive_excluded(N, 3, 3),
+        lambda N: gonality_exceeds("X0", N, 1),
+    ),
+    ids=("generic_winding_expansion", "additive_excluded", "gonality_exceeds"),
+)
+def test_level_functions_reject_nonpositive_N(call, N):
+    with pytest.raises(ValueError, match="N must be positive"):
+        call(N)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
