@@ -17,15 +17,15 @@ gcd(4, q - 1) per coset of the fourth powers.  For p = 3: 1 for a = b = 0
 (all singular), (q - 1) / gcd(4, q - 1) per coset of the fourth powers
 on a = 0, and q (q - 1) / 2 per coset of the squares on b = 0.  The
 cosets are powers of the class of x modulo the primitive modulus that
-``exactmath.field_make`` chooses, which generates the units, and each
-point count is one sum over a row of the table chi_add[c][v] = chi(c + v)
-of the quadratic character chi.
+``exactmath.field_make`` chooses, which generates the units.  The
+quadratic character chi is packed, q values to an integer, so one sum of
+q integers gives a slice's point counts for every c at once.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
-from operator import itemgetter
 from typing import NamedTuple
 
 from .exactmath import PrimePower, field_make, gcd, is_prime, isqrt
@@ -43,9 +43,11 @@ __all__ = [
     "method_a_verdict",
 ]
 
-# `census --q 343` takes about 0.12 s wall, about 0.09 s of it interpreter start and import
-# (2-core Xeon VM, CPython 3.11.7).
+# `census --q 343` takes about 0.12 s wall, about 0.10 s of it interpreter start and import;
+# the census itself takes 4-5 ms (2-core Xeon VM, CPython 3.11.7).
 BRUTE_FORCE_MAX_Q = 343
+# A packed census digit sums q values of 1 + chi, at most 2q, in 16 bits.
+assert 2 * BRUTE_FORCE_MAX_Q < 1 << 16, "packed census digits would carry"
 
 
 class TraceCensus(NamedTuple):
@@ -184,11 +186,14 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
 
     The scan costs at most 5 q^2 steps (7 q^2 for p = 3).  Sums come
     from the addition table and products from the discrete-logarithm
-    tables, so no q x q multiplication table is built.  The table
-    chi_add[c][v] = chi(c + v) is built once, q/p of its rows through
-    chi and the rest as their rotations, and a slice (a, b) fixes
-    the values v(x) = x^3 + a x^2 + b x, so the character sum of each c
-    is one C-level pick of the entries v(x) from row c.
+    tables, so no q x q multiplication table is built.  The character is
+    packed into rows: ``packed[w]`` is one integer whose 16-bit digit c
+    is 1 + chi(w + c).  They are built once, q/p of them from the
+    addition table and the rest as their rotations.  A slice (a, b) fixes
+    the values v(x) = x^3 + a x^2 + b x, so the q big-integer additions
+    sum(packed[v(x)]) give, in digit c, q + sum_x chi(c + v(x)), and the
+    trace of curve c is q minus that digit.  A digit is at most 2q <= 686
+    < 2^16 under the guard q <= 343, so no digit carries into the next.
     """
     q = pp.q
     if pp.p == 2 or q > BRUTE_FORCE_MAX_Q:
@@ -200,12 +205,14 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     def mul(a: int, b: int) -> int:
         return exp[(log[a] + log[b]) % m] if a and b else 0
 
-    chi = [0] + [(-1) ** log[x] for x in range(1, q)]
-    # chi_add[c][v] = chi(c + v).  With P = q/p, adding P hi adds hi to the top
-    # digit alone, so row lo + P hi is row lo, written twice, from place P hi.
+    # packed[w] holds 1 + chi(w + c) in its 16-bit digit c.  With P = q/p, adding P hi
+    # adds hi to the top digit alone, so row lo + P hi is row lo, written twice, from
+    # place P hi.
+    one_chi = [1] + [1 + (-1) ** log[x] for x in range(1, q)]
     P = q // pp.p
-    twice = [list(map(chi.__getitem__, add[lo])) * 2 for lo in range(P)]
-    chi_add = [row[P * hi : P * hi + q] for hi in range(pp.p) for row in twice]
+    twice = [struct.pack(f"<{2 * q}H", *map(one_chi.__getitem__, add[lo] * 2)) for lo in range(P)]
+    packed = [int.from_bytes(row[2 * P * hi : 2 * (P * hi + q)], "little") for hi in range(pp.p) for row in twice]
+    unpack = struct.Struct(f"<{q}H").unpack
     sq = [mul(x, x) for x in rng]
     cube = [mul(x, sq[x]) for x in rng]
     # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2,
@@ -216,15 +223,15 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     traces: Counter = Counter()
 
     def scan(a: int, b: int, weight: int) -> None:
-        base = itemgetter(*[add[cube[x]][add[mul(a, sq[x])][mul(b, x)]] for x in rng])
+        total = sum([packed[add[cube[x]][add[mul(a, sq[x])][mul(b, x)]]] for x in rng])
+        digits = unpack(total.to_bytes(2 * q, "little"))  # q + sum over x of chi(c + v(x))
         k_lin = add[mul(c18, mul(a, b))][mul(cm4, cube[a])]  # (18ab - 4a^3)
         k_const = add[mul(sq[a], sq[b])][mul(cm4, cube[b])]  # a^2b^2 - 4b^3
         for c in rng:
             disc = add[add[mul(k_lin, c)][k_const]][mul(cm27, sq[c])]
             if disc == 0:
                 continue
-            s = sum(base(chi_add[c]))  # sum over x of chi(c + x^3 + a x^2 + b x)
-            traces[-s] += weight
+            traces[q - digits[c]] += weight
 
     e4 = gcd(4, m)
     a0_weight = q if pp.p != 3 else 1

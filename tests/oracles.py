@@ -22,7 +22,9 @@ oracle reads the engine's field or its choice of modulus.
 Beside them sit the helpers only tests need, on the engine's column
 rows: the rank over Q of extra rows in the quotient
 (:func:`quotient_rank_q`, by Bareiss; the engine needs that rank only
-mod p), the symbol view of a row and linear combinations of rows.
+mod p), the symbol view of a row and linear combinations of rows, and
+the genus of X_1(N) (:func:`genus_x1`), which the gonality tables' labels
+are checked against.
 They share no elimination, enumeration or classification code with
 :mod:`torsion_gate.maninspace` and no scan code with
 :mod:`torsion_gate.redux`."""
@@ -30,6 +32,7 @@ They share no elimination, enumeration or classification code with
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, NamedTuple
 
@@ -607,3 +610,22 @@ def brute_force_census_full(pp: PrimePower) -> BruteForceCensus:
                 s = sum(chi[add_c[v]] for v in base)
                 traces[-s] += 1
     return BruteForceCensus(q=q, trace_counts=dict(traces))
+
+
+def genus_x1(N: int) -> int:
+    """Genus of X_1(N) for N >= 5, in exact rationals:
+
+        g = 1 + (N^2 / 24) prod_{l | N} (1 - 1/l^2) - (1/4) sum_{e | N} phi(e) phi(N/e).
+    """
+    if N < 5:
+        raise ValueError("the formula holds for N >= 5")
+
+    def phi(n: int) -> int:
+        return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+    area = Fraction(N * N, 24)
+    for ell, _ in factorize(N):
+        area *= 1 - Fraction(1, ell * ell)
+    g = 1 + area - Fraction(sum(phi(e) * phi(N // e) for e in divisors(N)), 4)
+    assert g.denominator == 1, (N, g)
+    return int(g)

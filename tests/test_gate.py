@@ -3,10 +3,13 @@ from __future__ import annotations
 import pytest
 
 from torsion_gate import gate
+from torsion_gate.exactmath import euler_phi, factorize
 from torsion_gate.gate import (
     GONALITY,
     X0_THREE_GONAL_BY_GENUS,
     X0_TWO_GONAL_BY_GENUS,
+    X1_THREE_GONAL_BY_GENUS,
+    X1_TWO_GONAL_BY_GENUS,
     find_witness_prime,
     gonality_exceeds,
     hasse_gate,
@@ -15,6 +18,8 @@ from torsion_gate.gate import (
     verify_cyclic_exclusion,
 )
 from torsion_gate.maninspace import genus_x0
+
+from oracles import genus_x1
 
 
 def test_hasse_gate_examples():
@@ -92,6 +97,29 @@ def test_gonality_tables_match_their_genus_labels():
         for genus, levels in table.items():
             for N in levels:
                 assert genus_x0(N) == genus, (N, genus)
+    for table in (X1_TWO_GONAL_BY_GENUS, X1_THREE_GONAL_BY_GENUS):
+        for genus, levels in table.items():
+            for N in levels:
+                if N >= 5:  # genus_x1's formula starts at 5; X_1(N) has genus 0 below it
+                    assert genus_x1(N) == genus, (N, genus)
+
+
+def modular_index(family: str, N: int) -> int:
+    """Index in PSL_2(Z) of Gamma_0(N), or of Gamma_1(N) (which for N >= 3 omits -1)."""
+    psi = N
+    for ell, _ in factorize(N):
+        psi = psi // ell * (ell + 1)
+    return psi * euler_phi(N) // 2 if family == "X1" and N >= 3 else psi
+
+
+def test_gonality_tables_respect_abramovich_bound():
+    # Abramovich (IMRN 1996): Gon(X) >= (7/800) * index, so a level of gonality <= d has
+    # 7 * index <= 800 d.  The largest 7 * psi in the X0 trigonal set is 756 (N = 81).
+    for family, by_degree in GONALITY.items():
+        for d, levels in by_degree.items():
+            for N in levels:
+                assert 7 * modular_index(family, N) <= 800 * d, (family, d, N)
+    assert max(7 * modular_index("X0", N) for N in GONALITY["X0"][3]) == 756
 
 
 def test_hyperelliptic_levels_count_as_trigonal_covered():
