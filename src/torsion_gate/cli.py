@@ -20,7 +20,7 @@ from .exactmath import PrimePower, factorize
 from .gate import ConditionEvidence, GateReport, verify_cyclic_exclusion
 from .hecke import generic_winding_expansion, hecke_action, winding_symbol
 from .maninspace import build_space, cusp_count_x0, genus_x0
-from .redux import admissible_traces, brute_force_census
+from .redux import _check_census_q, admissible_traces, brute_force_census
 
 __all__ = ["CASE_LEVELS", "canonical_json", "main"]
 
@@ -198,18 +198,19 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_census(args) -> int:
+    _check_census_q(args.q)  # before factoring q, which takes seconds at q ~ 10^16
     fac = factorize(args.q)
     if len(fac) != 1:
         print(f"torsion-gate census: error: q = {args.q} is not a prime power", file=sys.stderr)
         return 1
+    if args.N is not None and args.N < 1:
+        raise ValueError("N must be positive")
     (p, n), = fac
     pp = PrimePower(p, n)
     t0 = time.monotonic_ns()
-    observed = brute_force_census(pp)  # its guard comes first: odd p, q <= 343
+    observed = brute_force_census(pp)
     predicted = admissible_traces(pp)
     elapsed = (time.monotonic_ns() - t0) // 1_000_000
-    if args.N is not None and args.N < 1:
-        raise ValueError("N must be positive")
     match = observed.trace_set == predicted.traces
     evidence = [
         ConditionEvidence(

@@ -32,8 +32,6 @@ __all__ = [
     "ConditionEvidence",
     "GONALITY",
     "GateReport",
-    "WitnessPrime",
-    "find_witness_prime",
     "gonality_exceeds",
     "hasse_gate",
     "t3_divisibility",
@@ -255,12 +253,6 @@ def t4_coprimality(N: int, p: int, d: int) -> ConditionEvidence:
 # ---------------------------------------------------------------------------
 
 
-class WitnessPrime(NamedTuple):
-    p: int
-    method: str  # "T3" or "T4"
-    evidence: list[ConditionEvidence]
-
-
 class GateReport(NamedTuple):
     """Structured verdict for one (N, d) pair with its full evidence chain."""
 
@@ -281,23 +273,19 @@ def _candidate_primes(N: int, p_max: int) -> Iterator[int]:
     return (p for p in range(3, p_max + 1, 2) if N % p and is_prime(p))
 
 
-def find_witness_prime(N: int, d: int, p_max: int = 97) -> WitnessPrime | None:
-    """Least odd prime p <= p_max certifying exclusion via T3 or T4 conditions.
+def _witness_search(N: int, d: int, p_max: int) -> tuple[int, str, list[ConditionEvidence]] | None:
+    """Least odd prime p <= p_max passing the Hasse gate, T4 or T3, and the Hecke check.
 
-    Candidates are tested in ascending order and the search stops at the
-    first pass, or at the first Hasse failure, after which none can pass.
-    The symbol space and its criterion vectors are built at most once,
-    when the first candidate reaches the Hecke check.  An empty result is
-    *not* a disproof.
+    Returns p, the method ("T3" or "T4") and the evidence of those three
+    checks.  Candidates are tested in ascending order and the search stops
+    at the first pass, or at the first Hasse failure, after which none can
+    pass.  The symbol space and its criterion vectors are built at most
+    once, when the first candidate reaches the Hecke check.  An empty
+    result is *not* a disproof.
     """
-    if p_max < 3:
-        raise ValueError("p_max must be >= 3")
-    if d > 3 or not (gon_ev := _gonality_evidence("X0", N, d)).passed:
-        return None  # beyond the gonality tables nothing can be certified
     squarefree_composite = _squarefree_composite(N)
     space: SymbolSpace | None = None
     vectors: list[dict[int, int]] = []
-
     for p in _candidate_primes(N, p_max):
         hasse = hasse_gate(N, p, d)
         if not hasse.passed:
@@ -305,32 +293,19 @@ def find_witness_prime(N: int, d: int, p_max: int = 97) -> WitnessPrime | None:
         # Prefer the squarefree-composite route: its coprimality condition
         # is the one stated for such levels; fall back to the prime-power
         # divisibility route, which applies to any N.
-        chosen = None
-        if squarefree_composite:
-            t4 = t4_coprimality(N, p, d)
-            if t4.passed:
-                chosen = ("T4", t4)
-        if chosen is None:
-            t3 = t3_divisibility(N, p, d)
-            if t3.passed:
-                chosen = ("T3", t3)
-        if chosen is None:
+        if squarefree_composite and (arith := t4_coprimality(N, p, d)).passed:
+            method = "T4"
+        elif (arith := t3_divisibility(N, p, d)).passed:
+            method = "T3"
+        else:
             continue
-        method, arith = chosen
         if space is None:
             space = build_space(N)
             vectors = criterion_vectors(space, d)
         rank = quotient_rank_mod_p(space, vectors, p)
-        indep = _ev(
-            "hecke-independence",
-            rank == 2 * d,
-            f"T_1(0,1)..T_{2 * d}(0,1) span rank {rank} mod {p} (need {2 * d})",
-            p=p,
-            rank=rank,
-            required=2 * d,
-        )
-        if indep.passed:
-            return WitnessPrime(p, method, [gon_ev, hasse, arith, indep])
+        if rank == 2 * d:
+            span = f"T_1(0,1)..T_{2 * d}(0,1) span rank {rank} mod {p} (need {2 * d})"
+            return p, method, [hasse, arith, _ev("hecke-independence", True, span, p=p, rank=rank, required=2 * d)]
     return None
 
 
@@ -354,16 +329,17 @@ def verify_cyclic_exclusion(N: int, d: int = 3, p_max: int = 97) -> GateReport:
                 d=d,
             )
         ]
-    elif (hit := find_witness_prime(N, d, p_max)) is not None:
-        outcome, witness, evidence = f"excluded-{hit.method}", hit.p, hit.evidence
+    elif (gon := _gonality_evidence("X0", N, d)).passed and (hit := _witness_search(N, d, p_max)) is not None:
+        witness, method, found = hit
+        outcome, evidence = f"excluded-{method}", [gon, *found]
     else:
         from . import redux  # deferred: redux consumes this module's gates
 
-        # the trail of why the witness search came up empty; it is replaced
-        # when method A passes, since an excluded-* report must consist of
-        # passing conditions exclusively
-        evidence = [_gonality_evidence("X0", N, d)]
-        if evidence[0].passed:
+        # the trail of why the witness search came up empty, or was never
+        # run; it is replaced when method A passes, since an excluded-*
+        # report must consist of passing conditions exclusively
+        evidence = [gon]
+        if gon.passed:
             evidence.append(
                 _ev(
                     "witness-prime-search",
@@ -374,9 +350,9 @@ def verify_cyclic_exclusion(N: int, d: int = 3, p_max: int = 97) -> GateReport:
             )
         if N in redux.JACOBIAN_FINITE_FACTS:
             for p in _candidate_primes(N, p_max):
-                verdict = redux.method_a_verdict(N, d, p)
-                if verdict.passed:
-                    outcome, witness, evidence = "excluded-methodA", p, verdict.evidence
+                method_a = redux.method_a_verdict(N, d, p)
+                if all(e.passed for e in method_a):
+                    outcome, witness, evidence = "excluded-methodA", p, method_a
                     break
         else:
             evidence.append(redux._finite_jacobian_evidence(N))

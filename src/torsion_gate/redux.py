@@ -34,8 +34,6 @@ from .gate import ConditionEvidence, _ev, _gonality_evidence
 __all__ = [
     "BruteForceCensus",
     "JACOBIAN_FINITE_FACTS",
-    "JacobianFiniteFact",
-    "MethodAVerdict",
     "TraceCensus",
     "admissible_traces",
     "additive_excluded",
@@ -133,6 +131,12 @@ def additive_excluded(N: int, p: int, d: int) -> ConditionEvidence:
 # ---------------------------------------------------------------------------
 
 
+def _check_census_q(q: int) -> None:
+    """The census guard: q odd and at most BRUTE_FORCE_MAX_Q.  It needs no factorization of q."""
+    if q % 2 == 0 or q > BRUTE_FORCE_MAX_Q:
+        raise ValueError(f"q must be an odd prime power <= {BRUTE_FORCE_MAX_Q}")
+
+
 class BruteForceCensus(NamedTuple):
     """Observed traces over F_q, each with its curve count (always positive)."""
 
@@ -196,8 +200,7 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
     < 2^16 under the guard q <= 343, so no digit carries into the next.
     """
     q = pp.q
-    if pp.p == 2 or q > BRUTE_FORCE_MAX_Q:
-        raise ValueError(f"q must be an odd prime power <= {BRUTE_FORCE_MAX_Q}")
+    _check_census_q(q)
     add, exp, log = field_make(pp)
     rng = range(q)
     m = q - 1
@@ -249,58 +252,40 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
 # ---------------------------------------------------------------------------
 
 
-class JacobianFiniteFact(NamedTuple):
-    """J_1(N)(Q) is finite; dimensions of the simple isogeny factors as cited."""
-
-    N: int
-    factor_dims: tuple[int, ...]
-    citation: str
-
-
-JACOBIAN_FINITE_FACTS: dict[int, JacobianFiniteFact] = {
-    fact.N: fact
-    for fact in (
-        JacobianFiniteFact(49, (1, 48, 6, 12, 2), "L(A_i,1) != 0 for all factors; finiteness via Kato"),
-        JacobianFiniteFact(25, (8, 4), "L(A_i,1) != 0 for all factors; finiteness via Kato"),
-        JacobianFiniteFact(55, (1, 2, 1, 1, 4, 32, 8, 8, 16, 4, 4), "L(A_i,1) != 0 for all factors; finiteness via Kato"),
-        JacobianFiniteFact(40, (1, 1, 1, 4, 2, 2, 8, 2, 4), "L(A_i,1) != 0 for all factors; finiteness via Kato"),
-        JacobianFiniteFact(22, (1, 1, 4), "L(A_i,1) != 0 for all factors; finiteness via Kato"),
-    )
+# J_1(N)(Q) is finite at these levels: L(A_i, 1) != 0 for each simple isogeny factor
+# A_i, so finiteness follows from Kato's theorem.  Each level maps to the dimensions of
+# its factors, as cited.
+JACOBIAN_FINITE_FACTS: dict[int, tuple[int, ...]] = {
+    49: (1, 48, 6, 12, 2),
+    25: (8, 4),
+    55: (1, 2, 1, 1, 4, 32, 8, 8, 16, 4, 4),
+    40: (1, 1, 1, 4, 2, 2, 8, 2, 4),
+    22: (1, 1, 4),
 }
 
 
 def _finite_jacobian_evidence(N: int) -> ConditionEvidence:
     """Whether J_1(N)(Q) is in the cited finite-Jacobian table."""
-    fact = JACOBIAN_FINITE_FACTS.get(N)
-    if fact is None:
+    dims = JACOBIAN_FINITE_FACTS.get(N)
+    if dims is None:
         return _ev("finite-jacobian-table", False, f"J_1({N})(Q) is not in the cited finite-Jacobian table", N=N)
     return _ev(
         "finite-jacobian-table",
         True,
-        f"J_1({N})(Q) finite ({fact.citation}; factor dims {fact.factor_dims})",
+        f"J_1({N})(Q) finite (L(A_i,1) != 0 for all factors; finiteness via Kato; factor dims {dims})",
         N=N,
-        factor_count=len(fact.factor_dims),
+        factor_count=len(dims),
     )
 
 
-class MethodAVerdict(NamedTuple):
-    """Gate-report fragment: the reduction argument's combined outcome."""
+def method_a_verdict(N: int, d: int, p: int) -> list[ConditionEvidence]:
+    """The evidence of the full reduction argument for (N, d) at the odd prime p.
 
-    N: int
-    d: int
-    p: int
-    passed: bool
-    evidence: list[ConditionEvidence]
-
-
-def method_a_verdict(N: int, d: int, p: int) -> MethodAVerdict:
-    """Run the full reduction argument for (N, d) at the odd prime p.
-
-    Passes iff N is in the finite-Jacobian table, Gon(X_1(N)) > d, no
-    additive fiber order is divisible by N, and for every i <= d no
-    admissible order over F_{p^i} is divisible by N.  A pass reproduces
-    the contradiction: good reduction is forced, yet no residue-field
-    curve admits a point of order N.
+    The argument passes iff every entry passes: N is in the finite-Jacobian
+    table, Gon(X_1(N)) > d, no additive fiber order is divisible by N,
+    and for every i <= d no admissible order over F_{p^i} is divisible
+    by N.  A pass reproduces the contradiction: good reduction is forced,
+    yet no residue-field curve admits a point of order N.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -337,4 +322,4 @@ def method_a_verdict(N: int, d: int, p: int) -> MethodAVerdict:
                 )
             )
 
-    return MethodAVerdict(N=N, d=d, p=p, passed=all(e.passed for e in evidence), evidence=evidence)
+    return evidence

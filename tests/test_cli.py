@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from torsion_gate import cli, gate, maninspace
+from torsion_gate import cli, exactmath, gate, hecke, maninspace, redux
 from torsion_gate.maninspace import MAX_PSI, ManinSymbol
 
 from oracles import hecke_action_by_normalize
@@ -70,12 +70,37 @@ def test_p_max_below_three_is_a_usage_error_beyond_the_tables(capsys, argv):
     ),
 )
 def test_levels_beyond_the_symbol_space_guard_are_usage_errors(capsys, monkeypatch, argv):
-    # psi(10^7) = 1.8 * 10^7: the guard refuses it before P^1 is listed
+    # psi(10^7) >= 10^7 > MAX_PSI: the guard refuses it before P^1 is listed
     monkeypatch.setattr(maninspace, "p1_list", lambda N: pytest.fail(f"p1_list({N}) ran past the guard"))
     assert cli.main([*argv, "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"torsion-gate {argv[0]}: error: level guard: psi(10000000) = 18000000 exceeds {MAX_PSI}\n"
+    assert captured.err == f"torsion-gate {argv[0]}: error: level guard: psi(10000000) >= 10000000 exceeds {MAX_PSI}\n"
+
+
+def test_level_under_the_bound_with_psi_over_it_is_a_usage_error(capsys, monkeypatch):
+    # 510510 = 2*3*5*7*11*13 <= MAX_PSI, but psi(510510) = 1741824 is not
+    monkeypatch.setattr(maninspace, "p1_list", lambda N: pytest.fail(f"p1_list({N}) ran past the guard"))
+    assert cli.main(["homology", "--N", "510510"]) == 1
+    assert capsys.readouterr() == ("", f"torsion-gate homology: error: level guard: psi(510510) = 1741824 exceeds {MAX_PSI}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["homology", "--N", "10000000000000061"], f"level guard: psi(10000000000000061) >= 10000000000000061 exceeds {MAX_PSI}"),
+        (["hecke", "--N", "10000000000000061", "--n", "2"], f"level guard: psi(10000000000000061) >= 10000000000000061 exceeds {MAX_PSI}"),
+        (["census", "--q", "10000000000000061"], "q must be an odd prime power <= 343"),
+    ),
+    ids=("homology", "hecke", "census"),
+)
+def test_guards_refuse_huge_inputs_before_factoring(capsys, monkeypatch, argv, message):
+    # trial division of this 17-digit input takes about ten seconds
+    for module in (cli, exactmath, gate, hecke, maninspace, redux):
+        if hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", lambda n: pytest.fail(f"factorize({n}) ran before the guard"))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"torsion-gate {argv[0]}: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, levels", ((["verify", "--N", "169"], [169]), (["reproduce"], [169, 143, 91, 77])))
@@ -179,6 +204,12 @@ def test_census_guards(capsys):
         assert capsys.readouterr() == ("", guard)
     assert cli.main(["census", "--q", "15"]) == 1  # not a prime power
     assert capsys.readouterr().err == "torsion-gate census: error: q = 15 is not a prime power\n"
+
+
+def test_census_refuses_nonpositive_N_before_the_scan(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_force_census", lambda pp: pytest.fail(f"census over F_{pp} ran before the N check"))
+    assert cli.main(["census", "--q", "27", "--N", "0"]) == 1
+    assert capsys.readouterr() == ("", "torsion-gate census: error: N must be positive\n")
 
 
 def test_census_json(capsys):

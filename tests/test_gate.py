@@ -10,7 +10,6 @@ from torsion_gate.gate import (
     X0_TWO_GONAL_BY_GENUS,
     X1_THREE_GONAL_BY_GENUS,
     X1_TWO_GONAL_BY_GENUS,
-    find_witness_prime,
     gonality_exceeds,
     hasse_gate,
     t3_divisibility,
@@ -129,25 +128,33 @@ def test_hyperelliptic_levels_count_as_trigonal_covered():
     assert 71 in GONALITY["X0"][3]
 
 
-def test_find_witness_prime_cases(cached_gate):
-    hit = find_witness_prime(169, 3, 50)
-    assert (hit.p, hit.method) == (5, "T3")
-    hit = find_witness_prime(143, 3, 50)
-    assert (hit.p, hit.method) == (3, "T4")
-    assert find_witness_prime(55, 3, 3) is None
-    assert find_witness_prime(49, 3, 50) is None  # gonality gate
+def test_witness_search_cases(cached_gate, monkeypatch):
+    report = verify_cyclic_exclusion(169, 3, 50)
+    assert (report.outcome, report.witness_prime) == ("excluded-T3", 5)
+    report = verify_cyclic_exclusion(143, 3, 50)
+    assert (report.outcome, report.witness_prime) == ("excluded-T4", 3)
+    # 55 finds no T3/T4 witness at p = 3 and falls back to method A
+    report = verify_cyclic_exclusion(55, 3, 3)
+    assert (report.outcome, report.witness_prime) == ("excluded-methodA", 3)
+    # Gon(X_0(49)) <= 3: the gonality gate stops the search before its first candidate
+    hasse = gate.hasse_gate
+    tried = []
+    monkeypatch.setattr(gate, "hasse_gate", lambda N, p, d: tried.append(p) or hasse(N, p, d))
+    report = verify_cyclic_exclusion(49, 3, 50)
+    assert report.outcome == "excluded-methodA"
+    assert tried == []
 
 
-def test_find_witness_prime_never_returns_divisor_or_two(cached_gate):
+def test_witness_prime_is_never_two_or_a_divisor(cached_gate):
     for N in (169, 143, 91, 77):
-        hit = find_witness_prime(N, 3)
-        assert hit is not None
-        assert hit.p > 2 and N % hit.p != 0
-        names = [e.name for e in hit.evidence]
+        report = verify_cyclic_exclusion(N, 3)
+        assert report.outcome in ("excluded-T3", "excluded-T4"), N
+        assert report.witness_prime > 2 and N % report.witness_prime != 0
+        names = [e.name for e in report.evidence]
         assert names[0] == "gonality-x0" and names[-1] == "hecke-independence"
 
 
-def test_find_witness_prime_stops_at_first_pass(cached_gate, monkeypatch):
+def test_witness_search_stops_at_first_pass(cached_gate, monkeypatch):
     # at 169, d = 3: p = 3 fails the Hecke check and 5 passes; d = 1: 3 passes,
     # although every odd p <= 97 would clear the Hasse and T3 gates
     rank = gate.quotient_rank_mod_p
@@ -159,8 +166,8 @@ def test_find_witness_prime_stops_at_first_pass(cached_gate, monkeypatch):
     monkeypatch.setattr(gate, "quotient_rank_mod_p", recording_rank)
     for d, reached in ((3, [3, 5]), (1, [3])):
         tried = []
-        hit = find_witness_prime(169, d, 97)
-        assert hit.p == reached[-1]
+        report = verify_cyclic_exclusion(169, d, 97)
+        assert (report.outcome, report.witness_prime) == ("excluded-T3", reached[-1])
         assert tried == reached
 
 
@@ -169,14 +176,9 @@ def test_criterion_vectors_built_once_per_level(cached_gate, monkeypatch):
     calls = []
     build = gate.criterion_vectors
     monkeypatch.setattr(gate, "criterion_vectors", lambda space, d: calls.append(d) or build(space, d))
-    hit = find_witness_prime(169, 3, 50)
-    assert hit.p == 5
+    report = verify_cyclic_exclusion(169, 3, 50)
+    assert report.witness_prime == 5
     assert calls == [3]
-
-
-def test_find_witness_prime_validates_p_max():
-    with pytest.raises(ValueError):
-        find_witness_prime(169, 3, 2)
 
 
 @pytest.mark.parametrize("d", (3, 4))
@@ -248,8 +250,7 @@ def test_witness_search_stops_at_first_hasse_failure(cached_gate, monkeypatch):
 def test_verify_cyclic_exclusion_beyond_table_range(cached_gate):
     report = verify_cyclic_exclusion(91, 4)
     assert report.outcome == "inconclusive"
-    assert report.evidence[0].name == "gonality-tables-range"
-    assert find_witness_prime(91, 4) is None
+    assert [e.name for e in report.evidence] == ["gonality-tables-range"]
 
 
 def test_report_json_dict_uses_decimal_strings(cached_gate):

@@ -6,7 +6,7 @@ import pytest
 
 from torsion_gate.exactmath import PrimePower
 from torsion_gate.gate import ConditionEvidence, GateReport
-from torsion_gate.redux import JacobianFiniteFact, TraceCensus
+from torsion_gate.redux import TraceCensus
 
 # Each frozen record: a factory (called twice, for two equal records), a
 # record that differs in one field, and that field.
@@ -14,7 +14,6 @@ FROZEN_RECORDS = [
     (lambda: PrimePower(3, 2), PrimePower(p=3, n=1), "p"),
     (lambda: ConditionEvidence("hasse-gate", True, (("N", 169),)), ConditionEvidence("hasse-gate", False), "passed"),
     (lambda: TraceCensus(PrimePower(3, 1), 1, 7, frozenset({0, 1})), TraceCensus(PrimePower(3, 1), 0, 7, frozenset()), "hasse_lo"),
-    (lambda: JacobianFiniteFact(22, (1, 1, 4), "cited"), JacobianFiniteFact(25, (8, 4), "cited"), "N"),
 ]
 
 
