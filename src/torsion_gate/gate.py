@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .exactmath import factorize, gcd, is_prime
 from .hecke import criterion_vectors
-from .maninspace import SymbolSpace, build_space, quotient_rank_mod_p
+from .maninspace import SymbolSpace, _check_level, build_space, quotient_rank_mod_p
 
 __all__ = [
     "ConditionEvidence",
@@ -310,11 +310,15 @@ def _witness_search(N: int, d: int, p_max: int) -> tuple[int, str, list[Conditio
 
 
 def verify_cyclic_exclusion(N: int, d: int = 3, p_max: int = 97) -> GateReport:
-    """Full verdict for (N, d): witness-prime search, then reduction fallback."""
+    """Full verdict for (N, d): witness-prime search, then reduction fallback.
+
+    Raises ValueError for bad input, and for N > MAX_PSI before anything factors N.
+    """
     if N < 1 or d < 1:
         raise ValueError("N and d must be positive")
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
+    _check_level(N)  # before the search factors N, which takes seconds at N ~ 10^16
     t0 = time.monotonic_ns()
     outcome = "inconclusive"
     witness: int | None = None

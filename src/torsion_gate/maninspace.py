@@ -391,14 +391,19 @@ def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
     return _Factor(q, gens, scale, classes), sigma, tau
 
 
+def _check_level(N: int) -> None:
+    """Refuse a level above :data:`MAX_PSI` without factoring it: psi(N) >= N."""
+    if N > MAX_PSI:
+        raise ValueError(f"level guard: psi({N}) >= {N} exceeds {MAX_PSI}")
+
+
 def build_space(N: int) -> SymbolSpace:
     """Assemble the local spaces at the prime powers q || N, and sigma and tau as their products.
 
     Raises ValueError, before building anything, when psi(N) exceeds :data:`MAX_PSI`;
     since psi(N) >= N, a level above the bound is refused before it is factored.
     """
-    if N > MAX_PSI:
-        raise ValueError(f"level guard: psi({N}) >= {N} exceeds {MAX_PSI}")
+    _check_level(N)
     psi = index_x0(N)
     if psi > MAX_PSI:
         raise ValueError(f"level guard: psi({N}) = {psi} exceeds {MAX_PSI}")

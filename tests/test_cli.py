@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,8 +94,10 @@ def test_level_under_the_bound_with_psi_over_it_is_a_usage_error(capsys, monkeyp
         (["homology", "--N", "10000000000000061"], f"level guard: psi(10000000000000061) >= 10000000000000061 exceeds {MAX_PSI}"),
         (["hecke", "--N", "10000000000000061", "--n", "2"], f"level guard: psi(10000000000000061) >= 10000000000000061 exceeds {MAX_PSI}"),
         (["census", "--q", "10000000000000061"], "q must be an odd prime power <= 343"),
+        (["verify", "--N", "10000000000000061", "--d", "3"], f"level guard: psi(10000000000000061) >= 10000000000000061 exceeds {MAX_PSI}"),
+        (["verify", "--N", "10000000000000061", "--d", "4"], f"level guard: psi(10000000000000061) >= 10000000000000061 exceeds {MAX_PSI}"),
     ),
-    ids=("homology", "hecke", "census"),
+    ids=("homology", "hecke", "census", "verify-d3", "verify-d4"),
 )
 def test_guards_refuse_huge_inputs_before_factoring(capsys, monkeypatch, argv, message):
     # trial division of this 17-digit input takes about ten seconds
@@ -114,6 +119,71 @@ def test_verdicts_build_spaces_through_the_gate_namespace(capsys, monkeypatch, a
     assert cli.main(argv) == 0
     assert [space.N for space in built] == levels
     assert ranked and all(any(space is b for b in built) for space in ranked)
+
+
+# Run in this order in one process: a usage error, help, census with --N and
+# then without it, and each subcommand with its defaults and with every option.
+PARSER_SEQUENCE = (
+    ("nonsense",),
+    ("--help",),
+    ("census", "--help"),
+    ("census", "--q", "25", "--N", "5"),
+    ("census", "--q", "25"),
+    ("verify", "--N", "91"),
+    ("verify", "--N", "91", "--d", "2", "--p-max", "7", "--format", "json"),
+    ("verify", "--N", "x"),
+    ("homology", "--N", "11"),
+    ("homology", "--N", "11", "--format", "json"),
+    ("hecke", "--N", "11", "--n", "2"),
+    ("hecke", "--N", "11", "--n", "3", "--format", "json"),
+    ("reproduce",),
+    ("reproduce", "--d", "2", "--p-max", "5", "--format", "json"),
+    ("census", "--q", "27", "--N", "7", "--format", "json"),
+    ("verify",),
+)
+
+
+def _parse(parser, argv, capsys):
+    try:
+        parsed = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    return parsed, capsys.readouterr()
+
+
+def test_shared_parser_parses_like_a_fresh_one(capsys):
+    # the parser built anew for every call is the oracle for the one-per-process parser
+    assert cli.build_parser() is cli.build_parser()
+    for argv in PARSER_SEQUENCE:
+        assert _parse(cli.build_parser(), argv, capsys) == _parse(cli.build_parser.__wrapped__(), argv, capsys), argv
+    first = cli.build_parser().parse_args(["census", "--q", "25", "--N", "5"])
+    first.N = 7
+    assert cli.build_parser().parse_args(["census", "--q", "25"]).N is None
+
+
+def test_main_does_not_depend_on_earlier_calls(capsys, monkeypatch):
+    monkeypatch.setattr(time, "monotonic_ns", lambda: 0)  # every elapsed_ms reads 0
+
+    def outputs(order):
+        return {argv: (cli.main(list(argv)), capsys.readouterr()) for argv in order}
+
+    expected = outputs(PARSER_SEQUENCE)
+    assert outputs(reversed(PARSER_SEQUENCE)) == expected
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs(PARSER_SEQUENCE) == expected
+    assert expected[("--help",)][0] == 0 and expected[("--help",)][1].out.startswith("usage: torsion-gate")
+    assert expected[("nonsense",)][0] == 1 and "invalid choice: 'nonsense'" in expected[("nonsense",)][1].err
+
+
+def test_shared_parser_prints_to_the_streams_of_each_call():
+    # the parser outlives any one redirect, so it must look the streams up when it prints
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["--help"]) == 0
+            assert cli.main(["nonsense"]) == 1
+        assert out.getvalue().startswith("usage: torsion-gate")
+        assert "invalid choice: 'nonsense'" in err.getvalue()
 
 
 def test_verify_json_roundtrip(capsys):
