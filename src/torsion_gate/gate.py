@@ -312,13 +312,15 @@ def _witness_search(N: int, d: int, p_max: int) -> tuple[int, str, list[Conditio
 def verify_cyclic_exclusion(N: int, d: int = 3, p_max: int = 97) -> GateReport:
     """Full verdict for (N, d): witness-prime search, then reduction fallback.
 
-    Raises ValueError for bad input, and for N > MAX_PSI before anything factors N.
+    Raises ValueError for bad input, and at every degree when psi(N) exceeds
+    MAX_PSI, with :func:`build_space`'s message (for N > MAX_PSI before
+    anything factors N).
     """
     if N < 1 or d < 1:
         raise ValueError("N and d must be positive")
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
-    _check_level(N)  # before the search factors N, which takes seconds at N ~ 10^16
+    _check_level(N)  # before the search, whose T3/T4 conditions factor N: seconds at N ~ 10^16
     t0 = time.monotonic_ns()
     outcome = "inconclusive"
     witness: int | None = None

@@ -24,14 +24,23 @@ as X_0(N) is.  So the relation rank is (sigma orbits) + (tau orbits) - 1
 over Q and over every F_p, p odd, and the dimension 2g + c - 1 is G's
 cycle rank |E| - |V| + 1.
 
-A space keeps one depth-first spanning tree of G for every p.  Modulo
-the tau rows, a substituted column row v is v less the coboundary of
-the vertex potentials x with x_head - x_tail = v_e on the tree edges:
-its residual on the cotree edges, the pairing of v with G's fundamental
-cycles.  So ``quotient_rank_mod_p``, rank([R; V]) - rank(R), is the rank
-mod p of the residuals of V, at most 2d rows and the engine's only
-elimination.  Vectors are column rows: dicts from a column (numbered as
-below) to a nonzero coefficient.
+Substituted, the tau rows span exactly the coboundaries of G: the
+vectors delta x with (delta x)_e = x_head - x_tail, for values x on the
+vertices.  A few substituted vectors V, such as the Hecke check's 2d,
+touch few edges; let S be their union (a dozen at d = 3).  A coboundary
+delta x lies on S exactly when x is constant on each component C of
+G - S, so the coboundaries on S are spanned by the cuts delta 1_C (0 for
+a component that touches no edge of S).  So ``quotient_rank_mod_p``,
+rank([R; V]) - rank(R), is rank([cuts; V]) - rank(cuts), on rows with at
+most |S| columns: the engine's only elimination.  The components come
+from a breadth-first search over tau orbits in G - S, started at every
+endpoint of S, one group per start.  A union-find merges two groups when
+they meet, and a group whose frontier empties is a whole component.  The
+search stops when at most one group is still growing: the cuts of all
+components sum to delta 1 = 0, so the last group's cut is implied by the
+others.  The rank is therefore exact wherever the search stops; that it
+stays near S is a matter of speed only.  Vectors are column rows: dicts
+from a column (numbered as below) to a nonzero coefficient.
 
 P^1(Z/NZ) is the product of P^1(Z/qZ) over the prime powers q || N (the
 Chinese remainder theorem), and sigma and tau act on each factor
@@ -58,7 +67,7 @@ The relation rows are derived from sigma and tau on request.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from typing import Iterable, Mapping, NamedTuple
 
 from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
@@ -169,27 +178,6 @@ def genus_x0(N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _SpanningTree(NamedTuple):
-    """A depth-first spanning tree of the tau-orbit graph G, vertices numbered in preorder.
-
-    An edge is named by its column, the larger member j of its sigma pair;
-    it runs from the orbit of sigma(j) to the orbit of j.
-
-    The tree is depth-first because subtrees are then contiguous ranges in
-    preorder, so :func:`quotient_rank_mod_p` gets a vector's vertex
-    potentials from one ``accumulate`` over a difference array.  A
-    breadth-first tree, with potentials filled vertex by vertex, made that
-    function about 2x slower at N = 1001 and 2.8x at N = 2431 (2-core Xeon
-    VM, CPython 3.11.7).  A tree built for short cotree cycles belongs
-    after the witness prime is found, not in the rank.
-    """
-
-    vertex: list[int]  # vertex[k]: the preorder number of the tau orbit of column k
-    end: list[int]  # end[v]: one past the last vertex of v's subtree, which is range(v, end[v])
-    edges: dict[int, tuple[int, int]]  # tree edge -> (child vertex, +1 if the child is its head, else -1)
-    cotree: list[tuple[int, int, int]]  # (edge, head, tail) for every other edge, self-loops included
-
-
 class _Factor(NamedTuple):
     """The local space at one prime power q || N: P^1(Z/qZ) listed by :func:`p1_list`, and its class tables.
 
@@ -209,9 +197,9 @@ class SymbolSpace:
 
     ``_sigma[k]`` and ``_tau[k]`` are the columns of x.sigma and x.tau for
     the class x of column k, numbered in the mixed radix of the module
-    docstring.  The first rank query builds the spanning tree of the
-    tau-orbit graph, which serves every prime; since the presentation has
-    no odd torsion, :attr:`rank_q` is the rank mod 3.
+    docstring.  The first rank query counts the relation rank, which serves
+    every prime; since the presentation has no odd torsion, :attr:`rank_q`
+    is the rank mod 3.
 
     :meth:`index`, which folds the lookups in the local class tables, is
     the engine's only P^1 classifier; :meth:`symbol` names a column's class.
@@ -222,7 +210,7 @@ class SymbolSpace:
         self._factors = factors
         self._sigma = sigma
         self._tau = tau
-        self._tree: _SpanningTree | None = None
+        self._rank: int | None = None  # the relation rank, counted on the first query
 
     def index(self, u: int, v: int) -> int:
         """Column of the class of (u, v): at each q, (u, v) mod q is looked up as (g, s v) mod q/g.
@@ -301,39 +289,6 @@ class SymbolSpace:
                 out[k] = out.get(k, 0) + c
         return out
 
-    def _spanning_tree(self) -> _SpanningTree:
-        """The depth-first spanning tree of the tau-orbit graph, built on the first call."""
-        if self._tree is None:
-            sigma, tau = self._sigma, self._tau
-            vertex = [-1] * len(sigma)
-            end: list[int] = []
-            edges: dict[int, tuple[int, int]] = {}
-            stack = [0]  # columns whose orbit is to be entered, and ~v to close the subtree of v
-            pop, push = stack.pop, stack.append
-            v = 0  # the next preorder number
-            while stack:
-                k = pop()
-                if k < 0:
-                    end[~k] = v
-                elif vertex[k] < 0:
-                    if v:  # entered over the edge from the orbit of j = sigma(k), which is v's parent
-                        j = sigma[k]
-                        if k > j:
-                            edges[k] = (v, 1)
-                        else:
-                            edges[j] = (v, -1)
-                    end.append(0)
-                    push(~v)
-                    for i in (k,) if tau[k] == k else (k, tau[k], tau[tau[k]]):
-                        vertex[i] = v
-                        if vertex[sigma[i]] < 0:
-                            push(sigma[i])
-                    v += 1
-            assert -1 not in vertex, f"the tau-orbit graph is disconnected at N={self.N}"
-            cotree = [(j, vertex[j], vertex[i]) for j, i in enumerate(sigma) if i < j and j not in edges]
-            self._tree = _SpanningTree(vertex, end, edges, cotree)
-        return self._tree
-
     @property
     def rank_q(self) -> int:
         """Rank of the relation matrix over Q, which equals its rank mod 3 (module docstring)."""
@@ -345,19 +300,44 @@ class SymbolSpace:
         return self.psi - self.rank_q
 
     def rank_mod_p(self, p: int) -> int:
-        """Rank of the relation matrix over F_p, (sigma orbits) + (tau orbits) - 1 = psi - #cotree edges.
+        """Rank of the relation matrix over F_p, (sigma orbits) + (tau orbits) - 1.
 
-        Raises ValueError unless p is an odd prime.
+        The first call counts both while it walks the tau-orbit graph, which
+        checks that the graph is connected.  Raises ValueError unless p is an
+        odd prime.
         """
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        return self.psi - len(self._spanning_tree().cotree)
+        _check_odd_prime(p)
+        if self._rank is None:
+            sigma, tau = self._sigma, self._tau
+            seen = bytearray(len(sigma))
+            rank = -1
+            stack = [0]  # a column of each tau orbit to be entered
+            pop, push = stack.pop, stack.append
+            while stack:
+                k = pop()
+                if seen[k]:
+                    continue
+                rank += 1  # a tau orbit
+                t = tau[k]
+                orbit = (k,) if t == k else (k, t, tau[t])
+                for i in orbit:
+                    seen[i] = 1
+                for i in orbit:
+                    j = sigma[i]
+                    if j >= i:  # a sigma orbit, counted at its least member
+                        rank += 1
+                    if not seen[j]:
+                        push(j)
+            assert 0 not in seen, f"the tau-orbit graph is disconnected at N={self.N}"
+            self._rank = rank
+        return self._rank
 
 
-# `homology --N 999983` (psi = 999984, just under the bound) takes about 5.9 s and
-# peaks at about 285 MB RSS; `homology --N 255255` (3*5*7*11*13*17, psi = 580608, a
-# composite level near the bound) takes about 1.3 s and peaks at about 103 MB RSS
-# (2-core Xeon VM, CPython 3.11.7).
+# `homology --N 999983` (psi = 999984, just under the bound) takes about 3.5 s and
+# peaks at about 210 MB RSS, and `verify --N 999983` about 3.3 s and 214 MB;
+# `homology --N 255255` (3*5*7*11*13*17, psi = 580608, a composite level near the
+# bound) takes about 0.7 s and peaks at about 61 MB RSS (cold runs, 2-core Xeon VM,
+# CPython 3.11.7).
 MAX_PSI = 10**6
 
 
@@ -391,10 +371,19 @@ def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
     return _Factor(q, gens, scale, classes), sigma, tau
 
 
-def _check_level(N: int) -> None:
-    """Refuse a level above :data:`MAX_PSI` without factoring it: psi(N) >= N."""
+def _check_level(N: int) -> int:
+    """psi(N), or ValueError when it exceeds :data:`MAX_PSI`; a level above the bound is refused unfactored, since psi(N) >= N."""
     if N > MAX_PSI:
         raise ValueError(f"level guard: psi({N}) >= {N} exceeds {MAX_PSI}")
+    psi = index_x0(N)
+    if psi > MAX_PSI:
+        raise ValueError(f"level guard: psi({N}) = {psi} exceeds {MAX_PSI}")
+    return psi
+
+
+def _check_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def build_space(N: int) -> SymbolSpace:
@@ -403,10 +392,7 @@ def build_space(N: int) -> SymbolSpace:
     Raises ValueError, before building anything, when psi(N) exceeds :data:`MAX_PSI`;
     since psi(N) >= N, a level above the bound is refused before it is factored.
     """
-    _check_level(N)
-    psi = index_x0(N)
-    if psi > MAX_PSI:
-        raise ValueError(f"level guard: psi({N}) = {psi} exceeds {MAX_PSI}")
+    psi = _check_level(N)
     factors = []
     sigma, tau = [0], [0]  # the one class of P^1(Z/1Z)
     for p, e in factorize(N):
@@ -450,28 +436,71 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
     """dim over F_p of the span of the vectors' images in the quotient mod p.
 
     Each vector is a column row.  Equal to rank_{F_p}([R; V]) - rank_{F_p}(R),
-    exact by right-exactness of tensoring with F_p, and computed as the rank
-    mod p of the vectors' cotree residuals (module docstring).  Raises
-    ValueError for a column outside range(psi), which has no edge of its
-    own; a negative one would read another column's.
+    exact by right-exactness of tensoring with F_p, and computed as
+    rank([cuts; V]) - rank(cuts) on the edges S that the substituted vectors
+    touch, with the cuts of the components of G - S that the search of the
+    module docstring settles.  Raises ValueError unless p is an odd prime,
+    and for a column outside range(psi), which has no edge of its own; a
+    negative one would read another column's.
     """
-    space.rank_mod_p(p)  # checks p; builds the spanning tree once per space
-    _, end, edges, cotree = space._spanning_tree()
+    _check_odd_prime(p)
+    sigma, tau = space._sigma, space._tau
     columns = range(space.psi)
-    residuals = []
+    rows = []
     for vec in vectors:
         for k in vec:
             if k not in columns:
                 raise ValueError(f"column {k!r} is not a generator at level {space.N}")
-        row = space._on_sigma_quotient(vec.items())
-        # vertex potentials x with x_head - x_tail = row[e] on each tree edge e: the
-        # edge adds +-row[e] to its child's subtree, a contiguous range in preorder
-        diff = [0] * (len(end) + 1)
-        for e, c in row.items():
-            if (edge := edges.get(e)) is not None:
-                child, sign = edge
-                diff[child] += sign * c
-                diff[end[child]] -= sign * c
-        x = list(accumulate(diff))
-        residuals.append({e: r for e, head, tail in cotree if (r := row.get(e, 0) - x[head] + x[tail])})
-    return _rank_mod_p(residuals, p)
+        rows.append(space._on_sigma_quotient(vec.items()))
+    support = {e for row in rows for e in row}  # S, edges named by their larger column
+
+    group = [-1] * len(sigma)  # group[k]: the group of the tau orbit of column k, once reached
+    parent: list[int] = []  # union-find forest of the groups
+    pending: list[int] = []  # pending[g], for a root g: its orbits queued and not yet expanded
+    queue: list[int] = []  # a column of each orbit reached, in the order reached
+
+    def root(g: int) -> int:
+        while parent[g] != g:
+            g = parent[g]
+        return g
+
+    for e in support:
+        for k in (e, sigma[e]):
+            if group[k] < 0:
+                t = tau[k]
+                group[k] = group[t] = group[tau[t]] = len(parent)  # one entry thrice when tau fixes k
+                parent.append(len(parent))
+                pending.append(1)
+                queue.append(k)
+    growing = len(parent)
+    for k in queue:  # breadth first over G - S; the queue grows as orbits are reached
+        if growing < 2:
+            break
+        g = root(group[k])
+        t = tau[k]
+        for i in (k,) if t == k else (k, t, tau[t]):
+            j = sigma[i]
+            if j == i or (i if i > j else j) in support:
+                continue  # no edge, or an edge of S
+            h = group[j]
+            if h < 0:
+                t = tau[j]
+                group[j] = group[t] = group[tau[t]] = g
+                queue.append(j)
+                pending[g] += 1
+            elif (h := root(h)) != g:
+                parent[h] = g
+                pending[g] += pending[h]
+                growing -= 1
+        pending[g] -= 1
+        if not pending[g]:
+            growing -= 1  # g is a component of G - S
+
+    cuts: dict[int, dict[int, int]] = {}  # settled root -> its cut on S
+    for e in support:
+        head, tail = root(group[e]), root(group[sigma[e]])
+        if head != tail:
+            for r, c in ((head, 1), (tail, -1)):
+                if not pending[r]:
+                    cuts.setdefault(r, {})[e] = c
+    return _rank_mod_p([*cuts.values(), *rows], p) - _rank_mod_p(cuts.values(), p)

@@ -1,11 +1,13 @@
 """Slow reference implementations the engine's fast paths are tested against.
 
-These were the engine's production paths before the spanning tree of
-the tau-orbit graph, the orbit enumeration of P^1, the class-table
-lookup and the census by translation orbits replaced them: dense
+These were the engine's production paths before the cut search in the
+tau-orbit graph, the orbit enumeration of P^1, the class-table lookup
+and the census by translation orbits replaced them: dense
 fraction-free (Bareiss) elimination over Q, dense Gaussian elimination
 mod p, the heap-driven sparse row echelon mod p (:class:`_Echelon`,
 which takes any relation rows, not only those of a tau-orbit graph),
+the depth-first spanning tree of the tau-orbit graph and the rank of
+column rows from their cotree residuals (:func:`quotient_rank_by_cotree`),
 P^1 normalization
 by Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1 enumeration
 that normalizes every pair (g, v) with g | N, the relation build and the
@@ -34,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple
 
 from torsion_gate.exactmath import PrimePower, divisors, factorize, gcd
@@ -276,6 +279,78 @@ class _Echelon:
         for row in rows:
             self._add(overlay, row)
         return len(overlay) - len(self.pivots)
+
+
+class SpanningTree(NamedTuple):
+    """A depth-first spanning tree of the tau-orbit graph G, vertices numbered in preorder.
+
+    An edge is named by its column, the larger member j of its sigma pair;
+    it runs from the orbit of sigma(j) to the orbit of j.  Subtrees are
+    contiguous ranges in preorder, so a vector's vertex potentials come
+    from one ``accumulate`` over a difference array.
+    """
+
+    vertex: list[int]  # vertex[k]: the preorder number of the tau orbit of column k
+    end: list[int]  # end[v]: one past the last vertex of v's subtree, which is range(v, end[v])
+    edges: dict[int, tuple[int, int]]  # tree edge -> (child vertex, +1 if the child is its head, else -1)
+    cotree: list[tuple[int, int, int]]  # (edge, head, tail) for every other edge, self-loops included
+
+
+def spanning_tree(space: SymbolSpace) -> SpanningTree:
+    """The depth-first spanning tree of the space's tau-orbit graph."""
+    sigma, tau = space._sigma, space._tau
+    vertex = [-1] * len(sigma)
+    end: list[int] = []
+    edges: dict[int, tuple[int, int]] = {}
+    stack = [0]  # columns whose orbit is to be entered, and ~v to close the subtree of v
+    v = 0  # the next preorder number
+    while stack:
+        k = stack.pop()
+        if k < 0:
+            end[~k] = v
+        elif vertex[k] < 0:
+            if v:  # entered over the edge from the orbit of j = sigma(k), which is v's parent
+                j = sigma[k]
+                edges[max(j, k)] = (v, 1 if k > j else -1)
+            end.append(0)
+            stack.append(~v)
+            for i in (k,) if tau[k] == k else (k, tau[k], tau[tau[k]]):
+                vertex[i] = v
+                if vertex[sigma[i]] < 0:
+                    stack.append(sigma[i])
+            v += 1
+    assert -1 not in vertex, f"the tau-orbit graph is disconnected at N={space.N}"
+    cotree = [(j, vertex[j], vertex[i]) for j, i in enumerate(sigma) if i < j and j not in edges]
+    return SpanningTree(vertex, end, edges, cotree)
+
+
+def quotient_rank_by_cotree(space: SymbolSpace, vectors: Iterable[Mapping[int, int]], p: int) -> int:
+    """dim over F_p of the column rows' images in the quotient, from their cotree residuals.
+
+    Each row is substituted into the sigma quotient (x_i := -x_j for a
+    sigma pair i < j, 0 at a sigma-fixed column), less the coboundary of
+    the vertex potentials that agree with it on the tree edges; what is left
+    on the cotree edges is its pairing with G's fundamental cycles.
+    """
+    sigma = space._sigma
+    tree = spanning_tree(space)
+    residuals = []
+    for vec in vectors:
+        row: dict[int, int] = {}
+        for k, c in vec.items():
+            j = sigma[k]
+            if j != k:
+                e = max(j, k)
+                row[e] = row.get(e, 0) + (c if k == e else -c)
+        diff = [0] * (len(tree.end) + 1)
+        for e, c in row.items():
+            if e in tree.edges:
+                child, sign = tree.edges[e]
+                diff[child] += sign * c
+                diff[tree.end[child]] -= sign * c
+        x = list(accumulate(diff))
+        residuals.append([(e, r) for e, head, tail in tree.cotree if (r := row.get(e, 0) - x[head] + x[tail])])
+    return _Echelon(p, residuals).rank
 
 
 def p1_list_by_normalize(N: int) -> tuple[ManinSymbol, ...]:

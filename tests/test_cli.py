@@ -88,6 +88,17 @@ def test_level_under_the_bound_with_psi_over_it_is_a_usage_error(capsys, monkeyp
     assert capsys.readouterr() == ("", f"torsion-gate homology: error: level guard: psi(510510) = 1741824 exceeds {MAX_PSI}\n")
 
 
+@pytest.mark.parametrize("d", ("1", "3", "4"))
+def test_verify_refuses_a_level_whose_psi_is_over_the_bound_at_every_degree(capsys, monkeypatch, d):
+    # at d = 3 every candidate fails T3/T4 at the even 510510, so no Hecke check
+    # would reach build_space, and at d = 4 no search runs: the verdict's own
+    # guard answers, with build_space's message
+    monkeypatch.setattr(maninspace, "p1_list", lambda N: pytest.fail(f"p1_list({N}) ran past the guard"))
+    monkeypatch.setattr(gate, "hasse_gate", lambda *args: pytest.fail(f"hasse_gate{args} ran past the guard"))
+    assert cli.main(["verify", "--N", "510510", "--d", d]) == 1
+    assert capsys.readouterr() == ("", f"torsion-gate verify: error: level guard: psi(510510) = 1741824 exceeds {MAX_PSI}\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     (

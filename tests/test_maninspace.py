@@ -27,9 +27,11 @@ from oracles import (
     dense_rows,
     p1_list_by_normalize,
     p1_normalize,
+    quotient_rank_by_cotree,
     quotient_rank_q,
     relation_rows_by_normalize,
     right_translate,
+    spanning_tree,
 )
 
 # quotient dimension 2g + c - 1, with g and c from the classical formulas
@@ -239,7 +241,7 @@ def test_relation_quotient_has_no_odd_torsion(start):
 def test_sigma_quotient_matches_generic_echelon(N, get_space):
     # 13 and 389 have sigma-fixed points, 13 and 91 tau-fixed ones, whose
     # row is x itself, so that mod 3 they are zero as over Q; the oracle
-    # eliminates the raw relation rows, with no sigma quotient and no tree
+    # eliminates the raw relation rows, with no sigma quotient and no graph search
     space = get_space(N)
     assert space.rank_q == space.psi - (2 * genus_x0(N) + cusp_count_x0(N) - 1)
     for p in (3, 5, 7):
@@ -252,16 +254,15 @@ def test_sigma_quotient_matches_generic_echelon(N, get_space):
 
 @pytest.mark.parametrize("N", [2, 13, 25, 36, 65, 130, 169, 389])
 def test_quotient_rank_matches_generic_echelon_on_random_rows(N, get_space):
-    # Random column rows weighted towards the columns the tree treats
+    # Random column rows weighted towards the columns the graph treats
     # apart: sigma-fixed columns (dropped by the sigma quotient), both ends
-    # of self-loop edges (always cotree) and tau-fixed columns; the rest
-    # are drawn from all columns.  Every level here but 36 has sigma-fixed
-    # points, and every level has self-loops.
+    # of self-loop edges (sigma pairs within one tau orbit, never a cut)
+    # and tau-fixed columns; the rest are drawn from all columns.  Every
+    # level here but 36 has sigma-fixed points, and every level has self-loops.
     space = get_space(N)
     sigma, tau = space._sigma, space._tau
-    tree = space._spanning_tree()
     fixed = [i for i in range(space.psi) if sigma[i] == i]
-    loops = [k for e, head, tail in tree.cotree if head == tail for k in (e, sigma[e])]
+    loops = [i for i in range(space.psi) if sigma[i] != i and sigma[i] in (tau[i], tau[tau[i]])]
     assert bool(fixed) == (N != 36) and loops
     special = fixed + loops + [i for i in range(space.psi) if tau[i] == i]
     rng = random.Random(N)
@@ -277,11 +278,66 @@ def test_quotient_rank_matches_generic_echelon_on_random_rows(N, get_space):
             assert quotient_rank_mod_p(space, rows, p) == generic.extra_rank(row.items() for row in rows), (p, rows)
 
 
+# every level up to 400 in four chunks, then the benchmark's verify levels and 24871
+@pytest.mark.parametrize("levels", [range(1, 101), range(101, 201), range(201, 301), range(301, 401), (1001, 1169, 1271, 2431, 2653, 2911, 24871)])
+def test_cut_search_matches_cotree_oracle(levels, get_space):
+    # the depth-first tree and cotree residuals the cut search replaced
+    for N in levels:
+        space = get_space(N)
+        for d in (1, 2, 3):
+            vectors = criterion_vectors(space, d)
+            for p in (3, 5, 7, 11, 13):
+                if N % p:
+                    assert quotient_rank_mod_p(space, vectors, p) == quotient_rank_by_cotree(space, vectors, p), (N, d, p)
+
+
+def orbit_sets(space, rng):
+    """Sets U of tau orbits: single orbits, balls about the orbit of column 0, and random sets."""
+    sigma, tau = space._sigma, space._tau
+    orbit = [frozenset((i, tau[i], tau[tau[i]])) for i in range(space.psi)]
+    orbits = sorted(set(orbit), key=min)
+    yield from ([o] for o in rng.sample(orbits, min(len(orbits), 8)))
+    ball: set[frozenset[int]] = {orbit[0]}
+    while len(ball) < len(orbits):  # G is connected, so the ball grows until it is all of G
+        ball |= {orbit[sigma[i]] for o in ball for i in o}
+        yield sorted(ball, key=min)
+    for _ in range(8):
+        yield rng.sample(orbits, rng.randint(1, len(orbits)))
+
+
+@pytest.mark.parametrize("N", [11, 13, 36, 91, 169, 389, 1001])
+def test_cuts_of_orbit_sets_die_in_the_quotient(N, get_space, monkeypatch):
+    # delta 1_U, the sum of the tau rows of the orbits in U, is a coboundary:
+    # it dies in the quotient and adds nothing to the criterion vectors.  Its
+    # edges S cut the orbits of U off from the rest, so small components of
+    # G - S settle while the search runs, and their cuts reach the elimination
+    space = get_space(N)
+    vectors = criterion_vectors(space, 3)
+    ranked = []
+    rank = maninspace._rank_mod_p
+
+    def recording_rank(rows, p):
+        ranked.append(rows := list(rows))
+        return rank(rows, p)
+
+    monkeypatch.setattr(maninspace, "_rank_mod_p", recording_rank)
+    settled = 0
+    for U in orbit_sets(space, random.Random(N)):
+        cut = {k: 1 for orbit in U for k in orbit}
+        for p in (3, 5, 7):
+            assert quotient_rank_mod_p(space, [cut], p) == 0, (U, p)
+            settled += len(ranked[-1])  # the settled cuts, ranked alone last
+            if N % p:
+                assert quotient_rank_mod_p(space, [*vectors, cut], p) == quotient_rank_mod_p(space, vectors, p), (U, p)
+    assert settled
+
+
 @pytest.mark.parametrize("N", [*range(1, 121), 169, 243, 389, 1001, 2431])
 def test_spanning_tree_invariants(N, get_space):
+    # the tree of the test-only cotree oracle
     space = get_space(N)
     sigma, tau = space._sigma, space._tau
-    tree = space._spanning_tree()
+    tree = spanning_tree(space)
     vertex, end, edges = tree.vertex, tree.end, tree.edges
     # one vertex per tau orbit, numbered 0 .. |V| - 1
     orbits = {frozenset((i, tau[i], tau[tau[i]])) for i in range(space.psi)}
@@ -348,7 +404,7 @@ def test_rank_mod_p_rejects_non_odd_primes():
         for p in (0, 1, 2, 4, 9):
             with pytest.raises(ValueError, match="odd prime"):
                 space.rank_mod_p(p)
-            assert space._tree is None, (N, p)  # a rejected p builds nothing
+            assert space._rank is None, (N, p)  # a rejected p computes nothing
         assert space.rank_mod_p(3) == space.psi - (2 * genus_x0(N) + cusp_count_x0(N) - 1)
 
 
