@@ -8,7 +8,7 @@ T_n sends a symbol (x,y) to the sum of the right translates
 omitting any translate whose reduction mod N fails gcd(x',y',N) = 1
 (Merel, "Universal Fourier expansions of modular forms", Prop. 20).
 Each kept translate is classified by :meth:`SymbolSpace.index`, which
-folds the lookups in the class tables that the relation build uses at
+folds the closed-form local columns that sigma and tau are built from at
 each prime power q || N, so the engine has one P^1 classifier, and
 T_n(x) comes out as a column row: a dict from a column (in the space's
 mixed-radix order, not the order of the symbols) to the number of

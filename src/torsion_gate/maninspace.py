@@ -50,24 +50,30 @@ columns k_1, ..., k_r (in ascending q) is (...(k_1 psi(q_2) + k_2) psi(q_3)
 + ...) + k_r, and the global sigma and tau are the products of the local
 permutations.  Column 0 is the class of (0, 1), which is (0, 1) at every q.
 
-At a prime power q, the canonical representative of a class of P^1(Z/qZ)
-is its lexicographically least member, which has first coordinate
-g = gcd(u, q) (the divisor-canonical scheme of Stein's Algorithm 8.29).
-For g < q, (g, v) ~ (g, v') exactly when v = v' (mod m = q/g), since the
-scalars fixing g are the units t = 1 (mod m).  So the local class of
-(g, w) is ``classes[g][w mod m]``, from a table of length m, and a pair
-(u, v) is read off as (g, s v) for any s with s u = g (mod q), an inverse
-of u/g mod m.  The engine classifies by those lookups, folded over the
-prime powers (:meth:`SymbolSpace.index`), never by normalizing a pair;
-Algorithm 8.29's normalization lives on only as the reference the tests
-compare against.  :meth:`SymbolSpace.symbol` goes the other way, from a
-column to the level's canonical symbol, by the Chinese remainder theorem.
+At a prime power q = p^e, the canonical representative of a class of
+P^1(Z/qZ) is its lexicographically least member, which has first
+coordinate g = gcd(u, q) (the divisor-canonical scheme of Stein's
+Algorithm 8.29).  For g = p^j < q, (g, v) ~ (g, v') exactly when v = v'
+(mod m = q/g), since the scalars fixing g are the units t = 1 (mod m); so
+a pair (u, v) is the class of (g, s v mod m) for s an inverse of u/g mod
+m (Cremona, "Algorithms for Modular Elliptic Curves", 2nd ed., 2.2).
+Sorted, the classes have closed-form local columns: (0, 1) is column 0,
+(1, w) is column 1 + w for w mod q, and (p^j, w), for 0 < j < e and w a
+unit below m = p^(e-j), is column q + q/p - m + w - floor(w/p): w is the
+(w - floor(w/p))-th unit, after the 1 + q columns above and the
+phi(p^(e-i)) columns of each g = p^i, 0 < i < j, which sum to q/p - m.
+The engine classifies by this arithmetic, folded over the prime powers
+(:meth:`SymbolSpace.index`), and builds sigma and tau from it with one
+table of inverses mod q; it never normalizes a pair, and Algorithm 8.29's
+normalization lives on only as the reference the tests compare against.
+:meth:`SymbolSpace.symbol` goes the other way, from a column to the
+level's canonical symbol, by the Chinese remainder theorem.
 The relation rows are derived from sigma and tau on request.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import islice, repeat
 from typing import Iterable, Mapping, NamedTuple
 
 from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
@@ -118,7 +124,7 @@ def p1_list(N: int) -> tuple[ManinSymbol, ...]:
                     w += m
                 lifts[i] = w
             lifts.sort()
-        out.extend(map(ManinSymbol, repeat(g), lifts))  # ascending g, then v: sorted
+        out.extend(map(tuple.__new__, repeat(ManinSymbol), zip(repeat(g), lifts)))  # ascending g, then v: sorted
     return tuple(out)
 
 
@@ -179,17 +185,15 @@ def genus_x0(N: int) -> int:
 
 
 class _Factor(NamedTuple):
-    """The local space at one prime power q || N: P^1(Z/qZ) listed by :func:`p1_list`, and its class tables.
+    """The local space at one prime power q = p^e || N: P^1(Z/qZ) listed by :func:`p1_list`.
 
-    ``scale[u]`` is an s with s u = g = gcd(u, q) (mod q), and
-    ``classes[g][w mod q/g]`` the local column of (g, w), with key 0
-    (u = 0) a one-entry table, the column of (0, 1).
+    ``gens[c]`` is the local column c's canonical symbol, in the sorted
+    order that the closed-form columns of the module docstring number.
     """
 
+    p: int
     q: int
     gens: tuple[ManinSymbol, ...]
-    scale: list[int]
-    classes: dict[int, list[int]]
 
 
 class SymbolSpace:
@@ -201,8 +205,8 @@ class SymbolSpace:
     every prime; since the presentation has no odd torsion, :attr:`rank_q`
     is the rank mod 3.
 
-    :meth:`index`, which folds the lookups in the local class tables, is
-    the engine's only P^1 classifier; :meth:`symbol` names a column's class.
+    :meth:`index`, which folds the closed-form local columns, is the
+    engine's only P^1 classifier; :meth:`symbol` names a column's class.
     """
 
     def __init__(self, N: int, factors: tuple[_Factor, ...], sigma: list[int], tau: list[int]):
@@ -213,16 +217,26 @@ class SymbolSpace:
         self._rank: int | None = None  # the relation rank, counted on the first query
 
     def index(self, u: int, v: int) -> int:
-        """Column of the class of (u, v): at each q, (u, v) mod q is looked up as (g, s v) mod q/g.
+        """Column of the class of (u, v): at each q, (u, v) is scaled to (g, w) and numbered in closed form.
 
         (u, v) must be a point of P^1(Z/NZ): callers check gcd(u, v, N) = 1
-        first, since for any other pair the tables give an unrelated or negative column.
+        first.  Any other pair of integers still gets a column in range(psi),
+        of an unrelated class: where p divides u and v at some q, the local w
+        is no unit, and its closed form lands on a neighbouring column.
         """
         k = 0
-        for q, gens, scale, classes in self._factors:
-            s = scale[u % q]
-            table = classes[s * u % q]
-            k = k * len(gens) + table[s * v % len(table)]
+        for p, q, gens in self._factors:
+            a = u % q
+            if a % p:  # (1, v/u)
+                c = 1 + pow(a, -1, q) * v % q
+            elif a:  # (g, w) with g = gcd(u, q) and w = v (u/g)^-1 mod m = q/g
+                g = gcd(a, q)
+                m = q // g
+                w = pow(a // g, -1, m) * v % m
+                c = q + q // p - m + w - w // p
+            else:  # (0, v): the class of (0, 1)
+                c = 0
+            k = k * len(gens) + c
         return k
 
     def symbol(self, k: int) -> ManinSymbol:
@@ -237,7 +251,7 @@ class SymbolSpace:
         if k not in range(self.psi):
             raise IndexError(f"column {k!r} is not a generator at level {self.N}")
         local = []
-        for q, gens, _, _ in reversed(self._factors):
+        for _, q, gens in reversed(self._factors):
             k, i = divmod(k, len(gens))
             local.append((q, gens[i]))
         g = 1
@@ -333,42 +347,66 @@ class SymbolSpace:
         return self._rank
 
 
-# `homology --N 999983` (psi = 999984, just under the bound) takes about 3.5 s and
-# peaks at about 210 MB RSS, and `verify --N 999983` about 3.3 s and 214 MB;
+# `homology --N 999983` (psi = 999984, just under the bound) takes about 2.1 s and
+# peaks at about 182 MB RSS, and `verify --N 999983` about 1.8 s and 182 MB;
 # `homology --N 255255` (3*5*7*11*13*17, psi = 580608, a composite level near the
-# bound) takes about 0.7 s and peaks at about 61 MB RSS (cold runs, 2-core Xeon VM,
+# bound) takes about 0.65 s and peaks at about 61 MB RSS (cold runs, 2-core Xeon VM,
 # CPython 3.11.7).
 MAX_PSI = 10**6
 
 
-def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
-    """The local space at q = p^e, with its sigma and tau permutations of the local columns."""
-    gens = p1_list(q)
-    assert len(gens) == q // p * (p + 1), f"P^1(Z/{q}) enumeration does not match psi"
-    scale = [0] * q  # scale[g x] = x^-1 mod q/g, for x a unit mod q/g
-    classes = {}  # classes[g][w]: the local column of (g, w), for w mod q/g; keyed by gcd(u, q) mod q
-    for g in divisors(q)[:-1]:
-        m = q // g
-        unit = bytearray(b"\1") * m
-        unit[::p] = bytes(m // p)
-        for x in compress(range(m), unit):
-            scale[g * x] = pow(x, -1, m)
-        classes[g] = [-1] * m  # -1 marks a residue that is no class
-    for i, (g, v) in enumerate(gens[1:], 1):
-        classes[g][v % (q // g)] = i
-    classes[0] = [0]  # u = 0 mod q: every (0, w) in P^1 is the class of (0, 1)
+def _inverses(p: int, q: int) -> list[int]:
+    """x^-1 mod q at each unit x of Z/qZ, and 0 at the other residues, for q = p^e.
 
-    # (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v): one scale, one table
-    sigma = [0] * len(gens)
-    tau = [0] * len(gens)
-    for i, (u, v) in enumerate(gens):
-        s = scale[v]
-        table = classes[s * v % q]
-        m = len(table)
-        sigma[i] = table[-s * u % m]
-        tau[i] = table[-s * (u + v) % m]
-    assert -1 not in sigma and -1 not in tau, f"a translate missed the class tables at q={q}"
-    return _Factor(q, gens, scale, classes), sigma, tau
+    At a prime, q = (q // x) x + q % x gives x^-1 = -(q // x) (q % x)^-1,
+    with q % x < x a unit; at a prime power q % x need not be one.
+    """
+    if p != q:
+        return [pow(x, -1, q) if x % p else 0 for x in range(q)]
+    inv = [0, 1] + [0] * (q - 2)
+    for x in range(2, q):
+        inv[x] = -(q // x) * inv[q % x] % q
+    return inv
+
+
+def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
+    """The local space at q = p^e, with its sigma and tau permutations of the local columns.
+
+    (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v) both have first
+    coordinate v, so each class's two translates are scaled by one inverse:
+    of v mod q at a unit v, of v / p^j mod q / p^j at v = p^j t.  Their
+    columns are the closed forms of the module docstring.
+    """
+    gens = p1_list(q)
+    n = len(gens)
+    assert n == q // p * (p + 1), f"P^1(Z/{q}) enumeration does not match psi"
+    # col[k] = k, as the ints that gens[1 + v] = (1, v) already holds for k = v < q: sigma and tau
+    # take their entries from col, so that they hold no int of their own
+    col = [sym.v for sym in islice(gens, 1, q + 1)]
+    col += range(q, n)
+    inv = _inverses(p, q)
+    # (1, v) at a unit v -> (1, -s) and (1, -s - 1) with s = v^-1 (at v divisible by p, a placeholder
+    # that the loop below overwrites); then (0, 1) -> (1, 0) and (1, -1), and (1, 0) -> (0, -1) twice
+    sigma = [col[q + 1 - s] for s in islice(inv, 1, None)]
+    tau = [col[q - s] for s in islice(inv, 1, None)]
+    sigma[:0] = 1, 0
+    tau[:0] = q, 0
+    g = p
+    while g < q:  # the classes (g, w) with g = p^j, 0 < j < e: one per unit w < m = q / g
+        m = q // g
+        base = q + q // p - m  # (g, w) is column base + w - w // p
+        # (1, g t) at a unit t < m -> (g, w) with w = -t^-1 and -t^-1 - g mod m; the slice also
+        # holds t divisible by p, which the next g overwrites
+        ws = [-inv[t] % m for t in range(1, m)]
+        sigma[1 + g : 1 + q : g] = [col[base + w - w // p] for w in ws]
+        ws = [(w - g) % m for w in ws]
+        tau[1 + g : 1 + q : g] = [col[base + w - w // p] for w in ws]
+        # (g, w) -> (1, -w^-1 g) and (1, -w^-1 g - 1), columns x + 1 and x for x = -w^-1 g mod q, 0 < x < q
+        xs = [-inv[w] * g % q for w in range(1, m) if w % p]
+        sigma += [col[x + 1] for x in xs]
+        tau += [col[x] for x in xs]
+        g *= p
+    return _Factor(p, q, gens), sigma, tau
 
 
 def _check_level(N: int) -> int:
@@ -399,8 +437,8 @@ def build_space(N: int) -> SymbolSpace:
         factor, local_sigma, local_tau = _local_space(p, p**e)
         if factors:  # column k * n + b for the class of column k so far and local column b
             n = len(factor.gens)
-            sigma = [a * n + b for a in sigma for b in local_sigma]
-            tau = [a * n + b for a in tau for b in local_tau]
+            sigma = [a + b for a in (a * n for a in sigma) for b in local_sigma]
+            tau = [a + b for a in (a * n for a in tau) for b in local_tau]
         else:  # taken as they are: a copy adds about 60 MB to the peak RSS at a prime near MAX_PSI
             sigma, tau = local_sigma, local_tau
         factors.append(factor)

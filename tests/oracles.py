@@ -1,10 +1,10 @@
 """Slow reference implementations the engine's fast paths are tested against.
 
 These were the engine's production paths before the cut search in the
-tau-orbit graph, the orbit enumeration of P^1, the class-table lookup
-and the census by translation orbits replaced them: dense
-fraction-free (Bareiss) elimination over Q, dense Gaussian elimination
-mod p, the heap-driven sparse row echelon mod p (:class:`_Echelon`,
+tau-orbit graph, the orbit enumeration of P^1, the classification of P^1
+by closed-form columns and the census by translation orbits replaced
+them: dense fraction-free (Bareiss) elimination over Q, dense Gaussian
+elimination mod p, the heap-driven sparse row echelon mod p (:class:`_Echelon`,
 which takes any relation rows, not only those of a tau-orbit graph),
 the depth-first spanning tree of the tau-orbit graph and the rank of
 column rows from their cotree residuals (:func:`quotient_rank_by_cotree`),

@@ -10,7 +10,9 @@ degree 3, 4 and 5 (27, 343, 81, 243), q at the size guard (343) and
 ``--N`` with and without admissible hits.  The composite levels 30, 1001
 and 2431 pin ``hecke``, ``homology`` and ``verify`` where the columns are
 numbered over several prime powers; at 30 the factor 2 has a sigma-fixed
-point.
+point.  The prime powers 625, 1024 (p = 2) and 2187 = 3^7 pin the local
+classes (p^j, w) of every depth j < e, and the prime 10007 a local space
+far beyond the benchmark's primes.
 
 ``tests/golden/text_reports.json`` maps the calls of ``TEXT_CALLS`` to
 their ``--format text`` output, with the millisecond fields masked: the
@@ -55,6 +57,11 @@ GOLDEN_CALLS = (
     "hecke --N 169 --n 5",
     "hecke --N 2431 --n 6",
     "hecke --N 30 --n 5",
+    "homology --N 625",
+    "homology --N 2187",
+    "hecke --N 1024 --n 30",
+    "hecke --N 2187 --n 30",
+    "hecke --N 10007 --n 30",
     "census --q 27 --N 25",
     "census --q 243 --N 22",
     "census --q 343 --N 7",

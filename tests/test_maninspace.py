@@ -103,14 +103,17 @@ def test_p1_list_matches_normalize_oracle():
 
 
 def test_index_matches_normalize_oracle():
-    # every point of P^1(Z/NZ) for N <= 120, then a seeded sample at large levels
+    # every point of P^1(Z/NZ) for N <= 120, then a seeded sample at large levels:
+    # prime powers (625, 1024 = 2^10, 2187, 2401) with classes (p^j, w) up to j = 9, and a prime
     for N in range(1, 121):
         space = build_space(N)
         for u in range(N):
             for v in range(N):
                 if gcd(gcd(u, v), N) == 1:
                     assert space.symbol(space.index(u, v)) == p1_normalize(N, u, v), (N, u, v)
-    for N in (1000, 2187, 2431, 30030):
+                else:  # no point of P^1: an unrelated column, but a column
+                    assert space.index(u, v) in range(space.psi), (N, u, v)
+    for N in (625, 1000, 1024, 2187, 2401, 2431, 10007, 30030):
         space = build_space(N)
         rng = random.Random(N)
         checked = 0
@@ -131,8 +134,9 @@ def assert_product_permutations_match_normalize_oracle(space, columns):
         assert space.symbol(space._tau[k]) == p1_normalize(N, *right_translate(N, *sym, TAU)), (N, k)
 
 
-# every level up to 300, then the benchmark's verify levels
-@pytest.mark.parametrize("N", [*range(1, 301), 1001, 1169, 1271, 2431, 2653, 2911])
+# every level up to 300, the benchmark's verify levels, then prime powers whose
+# classes (p^j, w) reach j = 3 (625, 2401), 9 (1024) and 6 (2187)
+@pytest.mark.parametrize("N", [*range(1, 301), 1001, 1169, 1271, 2431, 2653, 2911, 625, 1024, 2187, 2401])
 def test_product_permutations_match_normalize_oracle(N, get_space):
     # the columns are numbered in mixed radix over the prime powers, so at a
     # composite level their symbols are P^1(Z/NZ) in another order than p1_list's
@@ -149,6 +153,17 @@ def test_product_permutations_match_normalize_oracle_at_30030():
     assert_product_permutations_match_normalize_oracle(space, [0, space.psi - 1, *rng.sample(range(space.psi), 2000)])
 
 
+@pytest.mark.parametrize("N, sample", [(10007, None), (100003, 2000)])
+def test_product_permutations_match_normalize_oracle_at_large_primes(N, sample):
+    # the inverse table's recurrence, far beyond the levels above: every column at
+    # 10007, a seeded sample at 100003, and at both sigma^2 = tau^3 = 1 on every column
+    space = build_space(N)
+    sigma, tau = space._sigma, space._tau
+    assert all(sigma[sigma[k]] == k and tau[tau[tau[k]]] == k for k in range(space.psi))
+    columns = range(space.psi) if sample is None else [0, 1, space.psi - 1, *random.Random(N).sample(range(space.psi), sample)]
+    assert_product_permutations_match_normalize_oracle(space, columns)
+
+
 def test_symbol_rejects_columns_outside_the_space(get_space):
     space = get_space(11)
     for k in (-1, space.psi):
@@ -162,7 +177,7 @@ def test_p1_list_entries_are_canonical_and_distinct():
         gens = p1_list(N)
         assert len(set(gens)) == len(gens)
         for sym in gens:
-            assert p1_normalize(N, *sym) == sym
+            assert type(sym) is ManinSymbol and p1_normalize(N, *sym) == sym
 
 
 def test_sigma_involution_and_tau_order_three():
