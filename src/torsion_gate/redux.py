@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .exactmath import PrimePower, field_make, gcd, is_prime, isqrt
@@ -41,8 +42,8 @@ __all__ = [
     "method_a_verdict",
 ]
 
-# `census --q 343` takes about 0.12 s wall, about 0.10 s of it interpreter start and import;
-# the census itself takes 4-5 ms (2-core Xeon VM, CPython 3.11.7).
+# `census --q 343` takes about 0.05-0.10 s wall, nearly all of it interpreter start and import;
+# the census itself takes about 2 ms (best of 40 calls, 2-core Xeon VM, CPython 3.11.7).
 BRUTE_FORCE_MAX_Q = 343
 # A packed census digit sums q values of 1 + chi, at most 2q, in 16 bits.
 assert 2 * BRUTE_FORCE_MAX_Q < 1 << 16, "packed census digits would carry"
@@ -132,8 +133,8 @@ def additive_excluded(N: int, p: int, d: int) -> ConditionEvidence:
 
 
 def _check_census_q(q: int) -> None:
-    """The census guard: q odd and at most BRUTE_FORCE_MAX_Q.  It needs no factorization of q."""
-    if q % 2 == 0 or q > BRUTE_FORCE_MAX_Q:
+    """The census guard: q odd, at least 3 and at most BRUTE_FORCE_MAX_Q.  It needs no factorization of q."""
+    if q < 3 or q % 2 == 0 or q > BRUTE_FORCE_MAX_Q:
         raise ValueError(f"q must be an odd prime power <= {BRUTE_FORCE_MAX_Q}")
 
 
@@ -188,53 +189,82 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
                  i < e4;  (exp[i], 0, c) q m / 2 for i < 2, since scaling
                  sends (a, 0, c) to (u^-2 a, 0, u^-6 c).
 
-    The scan costs at most 5 q^2 steps (7 q^2 for p = 3).  Sums come
-    from the addition table and products from the discrete-logarithm
-    tables, so no q x q multiplication table is built.  The character is
-    packed into rows: ``packed[w]`` is one integer whose 16-bit digit c
-    is 1 + chi(w + c).  They are built once, q/p of them from the
-    addition table and the rest as their rotations.  A slice (a, b) fixes
-    the values v(x) = x^3 + a x^2 + b x, so the q big-integer additions
-    sum(packed[v(x)]) give, in digit c, q + sum_x chi(c + v(x)), and the
-    trace of curve c is q minus that digit.  A digit is at most 2q <= 686
-    < 2^16 under the guard q <= 343, so no digit carries into the next.
+    Sums come from the addition table, and no q x q multiplication table
+    is built: x runs in discrete-logarithm order, x = ``exp[k]`` for
+    k < m, with x = 0 apart.  The product row a x is then ``exp`` rotated
+    by log a and read at k, a slice of ``exp * 2``; a x^2 and x^3 are
+    steps of 2 and 3 through ``exp * 3``.  The character is packed into
+    rows: ``packed[w]`` is one integer whose 16-bit digit c is
+    1 + chi(w + c).  They are built once, q/p of them by one gather of q
+    entries each through the addition table and the rest as rotations of
+    their doubled bytes.  A slice (a, b) fixes the values v(x) = x^3 +
+    a x^2 + b x, so the q big-integer additions sum(packed[v(x)]) give,
+    in digit c, q + sum_x chi(c + v(x)), and the trace of curve c is q
+    minus that digit.  A digit is at most 2q <= 686 < 2^16 under the
+    guard q <= 343, so no digit carries into the next.  The slice's
+    digits are tallied at once; the digits of its singular c, where
+    (18ab - 4a^3) c + a^2b^2 - 4b^3 = 27 c^2 (the row 27 c^2 is built
+    once per field), are taken back out, and each remaining trace is
+    added with its weight, so no trace enters with count zero.  A slice
+    whose every curve is singular (a = b = 0 for p = 3) is not summed.
+
+    No Python function runs per field element: the slice values and the
+    singular c come from C-level maps and one comprehension over the
+    rows, and a slice costs q additions of q-digit integers.  At most 5
+    slices are summed (6 for p = 3), and the packed rows take q^2/p
+    table reads; the addition table of :func:`field_make`, q^2 entries,
+    is the largest single cost at the top of the guard.
     """
     q = pp.q
     _check_census_q(q)
     add, exp, log = field_make(pp)
-    rng = range(q)
     m = q - 1
+    exp2 = exp * 2
+    exp3 = exp * 3
 
     def mul(a: int, b: int) -> int:
         return exp[(log[a] + log[b]) % m] if a and b else 0
 
     # packed[w] holds 1 + chi(w + c) in its 16-bit digit c.  With P = q/p, adding P hi
     # adds hi to the top digit alone, so row lo + P hi is row lo, written twice, from
-    # place P hi.
-    one_chi = [1] + [1 + (-1) ** log[x] for x in range(1, q)]
+    # place P hi.  chi(exp[k]) = (-1)^k.
+    one_chi = (1,) + itemgetter(*log[1:])([2, 0] * (m // 2))
     P = q // pp.p
-    twice = [struct.pack(f"<{2 * q}H", *map(one_chi.__getitem__, add[lo] * 2)) for lo in range(P)]
+    digit_row = struct.Struct(f"<{q}H")
+    twice = [row + row for row in (digit_row.pack(*itemgetter(*add[lo])(one_chi)) for lo in range(P))]
     packed = [int.from_bytes(row[2 * P * hi : 2 * (P * hi + q)], "little") for hi in range(pp.p) for row in twice]
-    unpack = struct.Struct(f"<{q}H").unpack
-    sq = [mul(x, x) for x in rng]
-    cube = [mul(x, sq[x]) for x in rng]
+    cubes = exp3[::3]  # x^3 at x = exp[k]
     # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2,
     # evaluated in F_q via the prime-subfield constants below.
     c18 = 18 % pp.p
     cm4 = -4 % pp.p
-    cm27 = -27 % pp.p
+    l27 = log[27 % pp.p]
+    c27_sq = [0] * m if l27 is None else exp3[l27 : l27 + 2 * m : 2]  # 27 c^2 at c = exp[k]
     traces: Counter = Counter()
 
     def scan(a: int, b: int, weight: int) -> None:
-        total = sum([packed[add[cube[x]][add[mul(a, sq[x])][mul(b, x)]]] for x in rng])
-        digits = unpack(total.to_bytes(2 * q, "little"))  # q + sum over x of chi(c + v(x))
-        k_lin = add[mul(c18, mul(a, b))][mul(cm4, cube[a])]  # (18ab - 4a^3)
-        k_const = add[mul(sq[a], sq[b])][mul(cm4, cube[b])]  # a^2b^2 - 4b^3
-        for c in rng:
-            disc = add[add[mul(k_lin, c)][k_const]][mul(cm27, sq[c])]
-            if disc == 0:
-                continue
-            traces[q - digits[c]] += weight
+        k_lin = add[mul(c18, mul(a, b))][mul(cm4, mul(a, mul(a, a)))]  # 18ab - 4a^3
+        k_const = add[mul(mul(a, a), mul(b, b))][mul(cm4, mul(b, mul(b, b)))]  # a^2b^2 - 4b^3
+        lin = exp2[log[k_lin] : log[k_lin] + m] if k_lin else [0] * m  # k_lin c at c = exp[k]
+        plus_const = add[k_const]
+        singular = [c for c, kc, s in zip(exp, lin, c27_sq) if plus_const[kc] == s]
+        if k_const == 0:
+            singular.append(0)
+        if len(singular) == q:
+            return
+        values = cubes
+        if a:
+            values = map(getitem, map(add.__getitem__, values), exp3[log[a] : log[a] + 2 * m : 2])
+        if b:
+            values = map(getitem, map(add.__getitem__, values), exp2[log[b] : log[b] + m])
+        total = sum(map(packed.__getitem__, values), packed[0])  # packed[0] is x = 0
+        digits = digit_row.unpack(total.to_bytes(2 * q, "little"))  # q + sum over x of chi(c + v(x))
+        tally = Counter(digits)
+        for c in singular:
+            tally[digits[c]] -= 1
+        for digit, count in tally.items():
+            if count:
+                traces[q - digit] += weight * count
 
     e4 = gcd(4, m)
     a0_weight = q if pp.p != 3 else 1

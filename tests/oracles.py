@@ -2,25 +2,28 @@
 
 These were the engine's production paths before the cut search in the
 tau-orbit graph, the orbit enumeration of P^1, the classification of P^1
-by closed-form columns and the census by translation orbits replaced
-them: dense fraction-free (Bareiss) elimination over Q, dense Gaussian
-elimination mod p, the heap-driven sparse row echelon mod p (:class:`_Echelon`,
-which takes any relation rows, not only those of a tau-orbit graph),
-the depth-first spanning tree of the tau-orbit graph and the rank of
-column rows from their cotree residuals (:func:`quotient_rank_by_cotree`),
-P^1 normalization
-by Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1 enumeration
-that normalizes every pair (g, v) with g | N, the relation build and the
+by closed-form columns, the census by translation orbits and the census
+tally by rotated rows replaced them: dense fraction-free (Bareiss)
+elimination over Q, dense Gaussian elimination mod p, the heap-driven
+sparse row echelon mod p (:class:`_Echelon`, which takes any relation
+rows, not only those of a tau-orbit graph), the depth-first spanning
+tree of the tau-orbit graph and the rank of column rows from their
+cotree residuals (:func:`quotient_rank_by_cotree`), P^1 normalization by
+Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1 enumeration that
+normalizes every pair (g, v) with g | N, the relation build and the
 Hecke action that normalize every translate, the census that scans
 every coefficient triple (a, b, c), the census by translation orbits
-alone, the finite-field operations (addition, powers, inverses,
-negation, subtraction and the quadratic character by Euler's criterion)
-that the census no longer needs now that it adds and multiplies through
-tables.  The oracles' field is their own record :class:`OracleField`,
-whose modulus is the first primitive x^n - r found by this module's
-Rabin test and order check (:func:`first_primitive_modulus`), and field
-multiplication is a polynomial product reduced mod that modulus, so no
-oracle reads the engine's field or its choice of modulus.
+alone, the census by orbit slices that steps through every x and every
+c in Python (:func:`brute_force_census_by_slices`), and the finite-field
+operations (addition, powers, inverses, negation, subtraction and the
+quadratic character by Euler's criterion) that the census no longer
+needs now that it adds and multiplies through tables.  The oracles'
+field is their own record :class:`OracleField`, whose modulus is the
+first primitive x^n - r found by this module's Rabin test and order
+check (:func:`first_primitive_modulus`), and field multiplication is a
+polynomial product reduced mod that modulus.  So no oracle but the slice
+census reads the engine's field or its choice of modulus; that one
+checks the engine's scan on the engine's own tables.
 Beside them sit the helpers only tests need, on the engine's column
 rows: the rank over Q of extra rows in the quotient
 (:func:`quotient_rank_q`, by Bareiss; the engine needs that rank only
@@ -33,16 +36,17 @@ They share no elimination, enumeration or classification code with
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple
 
-from torsion_gate.exactmath import PrimePower, divisors, factorize, gcd
+from torsion_gate.exactmath import PrimePower, divisors, factorize, field_make, gcd
 from torsion_gate.hecke import merel_matrices
 from torsion_gate.maninspace import ManinSymbol, SymbolSpace
-from torsion_gate.redux import BRUTE_FORCE_MAX_Q, BruteForceCensus
+from torsion_gate.redux import BRUTE_FORCE_MAX_Q, BruteForceCensus, _check_census_q
 
 
 SIGMA = ((0, -1), (1, 0))
@@ -647,6 +651,64 @@ def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
         scan(0, rng, 1)
         for a in range(1, q):
             scan(a, (0,), q)
+    return BruteForceCensus(q=q, trace_counts=dict(traces))
+
+
+def brute_force_census_by_slices(pp: PrimePower) -> BruteForceCensus:
+    """The census over the orbit slices, curve by curve.
+
+    The same slices, weights and packed character rows as
+    :func:`torsion_gate.redux.brute_force_census`, on the same field
+    tables, but each x and each c is handled by its own Python step: a
+    product is a call of ``mul``, the discriminant of every c is
+    evaluated, and each nonsingular curve adds its weight to its trace
+    alone.  The scan costs at most 5 q^2 steps (7 q^2 for p = 3).
+    """
+    q = pp.q
+    _check_census_q(q)
+    add, exp, log = field_make(pp)
+    rng = range(q)
+    m = q - 1
+
+    def mul(a: int, b: int) -> int:
+        return exp[(log[a] + log[b]) % m] if a and b else 0
+
+    # packed[w] holds 1 + chi(w + c) in its 16-bit digit c.  With P = q/p, adding P hi
+    # adds hi to the top digit alone, so row lo + P hi is row lo, written twice, from
+    # place P hi.
+    one_chi = [1] + [1 + (-1) ** log[x] for x in range(1, q)]
+    P = q // pp.p
+    twice = [struct.pack(f"<{2 * q}H", *map(one_chi.__getitem__, add[lo] * 2)) for lo in range(P)]
+    packed = [int.from_bytes(row[2 * P * hi : 2 * (P * hi + q)], "little") for hi in range(pp.p) for row in twice]
+    unpack = struct.Struct(f"<{q}H").unpack
+    sq = [mul(x, x) for x in rng]
+    cube = [mul(x, sq[x]) for x in rng]
+    # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2,
+    # evaluated in F_q via the prime-subfield constants below.
+    c18 = 18 % pp.p
+    cm4 = -4 % pp.p
+    cm27 = -27 % pp.p
+    traces: Counter = Counter()
+
+    def scan(a: int, b: int, weight: int) -> None:
+        total = sum([packed[add[cube[x]][add[mul(a, sq[x])][mul(b, x)]]] for x in rng])
+        digits = unpack(total.to_bytes(2 * q, "little"))  # q + sum over x of chi(c + v(x))
+        k_lin = add[mul(c18, mul(a, b))][mul(cm4, cube[a])]  # (18ab - 4a^3)
+        k_const = add[mul(sq[a], sq[b])][mul(cm4, cube[b])]  # a^2b^2 - 4b^3
+        for c in rng:
+            disc = add[add[mul(k_lin, c)][k_const]][mul(cm27, sq[c])]
+            if disc == 0:
+                continue
+            traces[q - digits[c]] += weight
+
+    e4 = gcd(4, m)
+    a0_weight = q if pp.p != 3 else 1
+    scan(0, 0, a0_weight)
+    for i in range(e4):
+        scan(0, exp[i], a0_weight * m // e4)
+    if pp.p == 3:
+        for i in range(2):
+            scan(exp[i], 0, q * m // 2)
     return BruteForceCensus(q=q, trace_counts=dict(traces))
 
 

@@ -280,7 +280,7 @@ def test_census_match(capsys):
 
 def test_census_guards(capsys):
     guard = "torsion-gate census: error: q must be an odd prime power <= 343\n"
-    for q in ("4", "729"):  # characteristic 2; over the size guard
+    for q in ("4", "729", "-3", "-1", "1"):  # characteristic 2; over the size guard; below 3, never factored
         assert cli.main(["census", "--q", q]) == 1
         assert capsys.readouterr() == ("", guard)
     assert cli.main(["census", "--q", "15"]) == 1  # not a prime power

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from torsion_gate import gate
-from torsion_gate.exactmath import euler_phi, factorize
+from torsion_gate.exactmath import euler_phi, factorize, is_prime
 from torsion_gate.gate import (
     GONALITY,
     X0_THREE_GONAL_BY_GENUS,
@@ -279,3 +279,24 @@ def test_realized_levels_are_never_excluded(d, p_max):
     for N in REALIZED_LEVELS[d]:
         report = verify_cyclic_exclusion(N, d, p_max=p_max)
         assert (report.outcome, report.witness_prime) == ("inconclusive", None), N
+
+
+# No prime N >= 17 is cyclic torsion over fields of degree d <= 3 (Mazur 1977; Kamienny 1992,
+# Kenku-Momose 1988; Parent 2000, 2003).  The coverage map of the primes 17 <= N < 400: T3
+# excludes each at p = 3 but these, where the search up to the default p_max comes back empty.
+PRIME_LEVELS = tuple(N for N in range(17, 400) if is_prime(N))
+INCONCLUSIVE_PRIME_LEVELS = {
+    1: (),
+    2: (17, 19, 23, 29, 31, 37, 41, 43, 47, 59, 71),
+    3: (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 97, 109),
+}
+
+
+@pytest.mark.parametrize("d", sorted(INCONCLUSIVE_PRIME_LEVELS))
+def test_prime_level_coverage_map(d):
+    verdicts = {N: verify_cyclic_exclusion(N, d) for N in PRIME_LEVELS}
+    for N, report in verdicts.items():
+        expected = ("inconclusive", None) if N in INCONCLUSIVE_PRIME_LEVELS[d] else ("excluded-T3", 3)
+        assert (report.outcome, report.witness_prime) == expected, N
+    excluded = sum(report.excluded for report in verdicts.values())
+    assert (len(PRIME_LEVELS), excluded) == (72, {1: 72, 2: 61, 3: 55}[d])

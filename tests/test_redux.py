@@ -18,7 +18,7 @@ from torsion_gate.redux import (
     method_a_verdict,
 )
 
-from oracles import brute_force_census_by_translation, brute_force_census_full
+from oracles import brute_force_census_by_slices, brute_force_census_by_translation, brute_force_census_full
 
 # hand-derived from Waterhouse's case list:
 #   q=3:  (1) +-1, +-2; (4) +-3; (5) 0
@@ -147,10 +147,19 @@ def test_brute_force_matches_translation_scan(p, n):
     assert observed.orders == by_translation.orders
 
 
-# No oracle reaches the fields in (125, 343] other than 243 in test time (the translation scan
-# would take minutes at 343), so every census the guard admits is pinned by the sha256 of its
-# sorted trace counts.  The digests were computed before the census packed its character rows;
-# the one at 343 was first computed at commit 71ff555.
+# the tally of each slice's digits, less those of its singular c, counts what the curve-by-curve
+# scan of the same slices counts, at every field the guard admits
+@pytest.mark.parametrize("p,n", odd_prime_powers(0, 343))
+def test_brute_force_matches_slice_scan(p, n):
+    pp = PrimePower(p, n)
+    assert brute_force_census(pp).trace_counts == brute_force_census_by_slices(pp).trace_counts
+
+
+# No oracle with a field of its own reaches the fields in (125, 343] other than 243 in test time
+# (the translation scan would take minutes at 343), and the slice scan reads the engine's field
+# tables, so every census the guard admits is also pinned by the sha256 of its sorted trace
+# counts.  The digests were computed before the census packed its character rows; the one at
+# 343 was first computed at commit 71ff555.
 CENSUS_DIGESTS = json.loads((Path(__file__).with_name("golden") / "census_digests.json").read_text())
 
 
@@ -160,6 +169,7 @@ def test_brute_force_at_guard_sizes(p, n):
     observed = brute_force_census(pp)
     assert observed.trace_set == admissible_traces(pp).traces
     assert sum(observed.trace_counts.values()) == pp.q**3 - pp.q**2  # the nonsingular monic cubics
+    assert all(count > 0 for count in observed.trace_counts.values())  # no trace without a curve
     for t, count in observed.trace_counts.items():
         assert observed.trace_counts[-t] == count
     digest = hashlib.sha256(canonical_json(sorted(observed.trace_counts.items())).encode()).hexdigest()
