@@ -93,16 +93,26 @@ def _kept_translates(N: int, n: int, u: int, v: int):
             yield up, vp
 
 
-def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
-    """T_n applied to one canonical symbol, as a column row of ``space``."""
+def _check_canonical(space: SymbolSpace, x: ManinSymbol) -> None:
+    """ValueError unless x is a point of P^1(Z/NZ) and the canonical symbol of its class."""
     N = space.N
     if not (gcd(gcd(x.u, x.v), N) == 1 and space.symbol(space.index(x.u, x.v)) == x):
         raise ValueError(f"{x} is not a canonical symbol at level {N}")
+
+
+def _hecke_row(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
+    """T_n(x) as a column row, for a symbol x already checked canonical."""
     acc: dict[int, int] = {}  # a dict, not a Counter: building one costs more than these few terms
-    for up, vp in _kept_translates(N, n, x.u, x.v):
+    for up, vp in _kept_translates(space.N, n, x.u, x.v):
         col = space.index(up, vp)
         acc[col] = acc.get(col, 0) + 1
     return acc
+
+
+def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
+    """T_n applied to one canonical symbol, as a column row of ``space``."""
+    _check_canonical(space, x)
+    return _hecke_row(space, n, x)
 
 
 def generic_winding_expansion(N: int, n: int) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -118,9 +128,10 @@ def generic_winding_expansion(N: int, n: int) -> tuple[tuple[tuple[int, int], in
 
 
 def criterion_vectors(space: SymbolSpace, d: int) -> list[dict[int, int]]:
-    """The 2d column rows T_1(0,1), ..., T_{2d}(0,1) at the space's level."""
+    """The 2d column rows T_1(0,1), ..., T_{2d}(0,1) at the space's level, the symbol checked once."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     e = winding_symbol(space.N)
-    return [hecke_action(space, i, e) for i in range(1, 2 * d + 1)]
+    _check_canonical(space, e)
+    return [_hecke_row(space, i, e) for i in range(1, 2 * d + 1)]
 

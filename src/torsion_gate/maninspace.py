@@ -66,13 +66,17 @@ The engine classifies by this arithmetic, folded over the prime powers
 (:meth:`SymbolSpace.index`), and builds sigma and tau from it with one
 table of inverses mod q; it never normalizes a pair, and Algorithm 8.29's
 normalization lives on only as the reference the tests compare against.
-:meth:`SymbolSpace.symbol` goes the other way, from a column to the
-level's canonical symbol, by the Chinese remainder theorem.
+So a space is built from the column count psi(q) alone, and no class is
+named unless a caller asks: :meth:`SymbolSpace.symbol` goes the other
+way, from a column to the level's canonical symbol, by the Chinese
+remainder theorem, reading the local symbols from the sorted P^1 lists
+(:func:`p1_list`) that its first call makes.
 The relation rows are derived from sigma and tau on request.
 """
 
 from __future__ import annotations
 
+import gc
 from itertools import islice, repeat
 from typing import Iterable, Mapping, NamedTuple
 
@@ -107,25 +111,37 @@ def p1_list(N: int) -> tuple[ManinSymbol, ...]:
     g < N the classes are the residues w mod m = N/g with gcd(w, g, m) = 1
     (module docstring, with N for q), each represented by its least lift
     w + km coprime to g.
+
+    The symbols are listed with the cyclic garbage collector paused (and
+    its prior state restored): they hold only ints and form no cycle, but
+    a ``ManinSymbol`` is a tuple subclass, which the collector never
+    untracks, so every collection during the listing would re-walk those
+    already made.
     """
     if N < 1:
         raise ValueError("level must be positive")
     if N == 1:
         return (ManinSymbol(0, 0),)
-    out = [ManinSymbol(0, 1)]  # g = N: the class of (0, 1)
-    for g in divisors(N)[:-1]:
-        m = N // g
-        h = gcd(g, m)
-        lifts = range(m) if h == 1 else [w for w in range(m) if gcd(w, h) == 1]
-        if g > 1:
-            lifts = list(lifts)
-            for i, w in enumerate(lifts):
-                while gcd(w, g) != 1:
-                    w += m
-                lifts[i] = w
-            lifts.sort()
-        out.extend(map(tuple.__new__, repeat(ManinSymbol), zip(repeat(g), lifts)))  # ascending g, then v: sorted
-    return tuple(out)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = [ManinSymbol(0, 1)]  # g = N: the class of (0, 1)
+        for g in divisors(N)[:-1]:
+            m = N // g
+            h = gcd(g, m)
+            lifts = range(m) if h == 1 else [w for w in range(m) if gcd(w, h) == 1]
+            if g > 1:
+                lifts = list(lifts)
+                for i, w in enumerate(lifts):
+                    while gcd(w, g) != 1:
+                        w += m
+                    lifts[i] = w
+                lifts.sort()
+            out.extend(map(tuple.__new__, repeat(ManinSymbol), zip(repeat(g), lifts)))  # ascending g, then v: sorted
+        return tuple(out)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +201,15 @@ def genus_x0(N: int) -> int:
 
 
 class _Factor(NamedTuple):
-    """The local space at one prime power q = p^e || N: P^1(Z/qZ) listed by :func:`p1_list`.
+    """The local space at one prime power q = p^e || N: its n = psi(q) = q + q/p columns.
 
-    ``gens[c]`` is the local column c's canonical symbol, in the sorted
-    order that the closed-form columns of the module docstring number.
+    The local columns are the closed forms of the module docstring, in
+    the sorted order of the canonical symbols; no symbol is listed here.
     """
 
     p: int
     q: int
-    gens: tuple[ManinSymbol, ...]
+    n: int
 
 
 class SymbolSpace:
@@ -207,6 +223,9 @@ class SymbolSpace:
 
     :meth:`index`, which folds the closed-form local columns, is the
     engine's only P^1 classifier; :meth:`symbol` names a column's class.
+    A space is built without naming any class: the first :meth:`symbol`
+    call lists each local P^1 with :func:`p1_list`, and the lists are kept
+    for later calls, as the relation rank is.
     """
 
     def __init__(self, N: int, factors: tuple[_Factor, ...], sigma: list[int], tau: list[int]):
@@ -215,6 +234,7 @@ class SymbolSpace:
         self._sigma = sigma
         self._tau = tau
         self._rank: int | None = None  # the relation rank, counted on the first query
+        self._gens: list[tuple[ManinSymbol, ...]] | None = None  # the local P^1 lists, made on the first symbol()
 
     def index(self, u: int, v: int) -> int:
         """Column of the class of (u, v): at each q, (u, v) is scaled to (g, w) and numbered in closed form.
@@ -225,7 +245,7 @@ class SymbolSpace:
         is no unit, and its closed form lands on a neighbouring column.
         """
         k = 0
-        for p, q, gens in self._factors:
+        for p, q, n in self._factors:
             a = u % q
             if a % p:  # (1, v/u)
                 c = 1 + pow(a, -1, q) * v % q
@@ -236,7 +256,7 @@ class SymbolSpace:
                 c = q + q // p - m + w - w // p
             else:  # (0, v): the class of (0, 1)
                 c = 0
-            k = k * len(gens) + c
+            k = k * n + c
         return k
 
     def symbol(self, k: int) -> ManinSymbol:
@@ -247,12 +267,17 @@ class SymbolSpace:
         (g_i, w_i) exactly when v = (g/g_i) w_i (mod q/g_i); where g_i = q,
         when v is prime to q.  So v is the least solution, by the Chinese
         remainder theorem, lifted by steps of N/g until it is prime to those q.
+        The local symbols are read from the lists that the first call makes.
         """
         if k not in range(self.psi):
             raise IndexError(f"column {k!r} is not a generator at level {self.N}")
+        if self._gens is None:
+            self._gens = [p1_list(q) for _, q, _ in self._factors]
+            for (_, q, n), gens in zip(self._factors, self._gens):
+                assert len(gens) == n, f"P^1(Z/{q}) enumeration does not match psi"
         local = []
-        for _, q, gens in reversed(self._factors):
-            k, i = divmod(k, len(gens))
+        for (_, q, n), gens in zip(reversed(self._factors), reversed(self._gens)):
+            k, i = divmod(k, n)
             local.append((q, gens[i]))
         g = 1
         for q, (u, _) in local:
@@ -347,25 +372,32 @@ class SymbolSpace:
         return self._rank
 
 
-# `homology --N 999983` (psi = 999984, just under the bound) takes about 2.1 s and
-# peaks at about 182 MB RSS, and `verify --N 999983` about 1.8 s and 182 MB;
-# `homology --N 255255` (3*5*7*11*13*17, psi = 580608, a composite level near the
-# bound) takes about 0.65 s and peaks at about 61 MB RSS (cold runs, 2-core Xeon VM,
-# CPython 3.11.7).
+# `homology --N 999983` (psi = 999984, just under the bound) takes about 1.1 s and
+# peaks at about 113 MB RSS, since it names no class and so lists no P^1; `verify
+# --N 999983 --d 3` and `hecke --N 999983 --n 30`, which name the winding symbol and
+# so list P^1(Z/999983Z), about 1.1 s and 168 MB; `homology --N 255255`
+# (3*5*7*11*13*17, psi = 580608, a composite level near the bound) takes about 0.55 s
+# and peaks at about 61 MB RSS (cold runs, 2-core Xeon VM, CPython 3.11.7).
 MAX_PSI = 10**6
 
 
 def _inverses(p: int, q: int) -> list[int]:
     """x^-1 mod q at each unit x of Z/qZ, and 0 at the other residues, for q = p^e.
 
-    At a prime, q = (q // x) x + q % x gives x^-1 = -(q // x) (q % x)^-1,
-    with q % x < x a unit; at a prime power q % x need not be one.
+    For a unit x, q = d x + r with d = q // x and r = q % x < x gives
+    x^-1 = -d r^-1 when r is a unit, which it always is at a prime.  At a
+    prime power p may divide r; then q = (d + 1) x - (x - r), and x - r < x
+    is a unit (it is x mod p), so x^-1 = (d + 1) (x - r)^-1.
     """
-    if p != q:
-        return [pow(x, -1, q) if x % p else 0 for x in range(q)]
     inv = [0, 1] + [0] * (q - 2)
+    if p == q:
+        for x in range(2, q):
+            inv[x] = -(q // x) * inv[q % x] % q
+        return inv
     for x in range(2, q):
-        inv[x] = -(q // x) * inv[q % x] % q
+        if x % p:
+            d, r = divmod(q, x)
+            inv[x] = (-d * inv[r] if r % p else (d + 1) * inv[x - r]) % q
     return inv
 
 
@@ -377,13 +409,8 @@ def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
     of v mod q at a unit v, of v / p^j mod q / p^j at v = p^j t.  Their
     columns are the closed forms of the module docstring.
     """
-    gens = p1_list(q)
-    n = len(gens)
-    assert n == q // p * (p + 1), f"P^1(Z/{q}) enumeration does not match psi"
-    # col[k] = k, as the ints that gens[1 + v] = (1, v) already holds for k = v < q: sigma and tau
-    # take their entries from col, so that they hold no int of their own
-    col = [sym.v for sym in islice(gens, 1, q + 1)]
-    col += range(q, n)
+    n = q // p * (p + 1)
+    col = list(range(n))  # sigma and tau take their entries from col, so that they share one int per column
     inv = _inverses(p, q)
     # (1, v) at a unit v -> (1, -s) and (1, -s - 1) with s = v^-1 (at v divisible by p, a placeholder
     # that the loop below overwrites); then (0, 1) -> (1, 0) and (1, -1), and (1, 0) -> (0, -1) twice
@@ -406,7 +433,7 @@ def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
         sigma += [col[x + 1] for x in xs]
         tau += [col[x] for x in xs]
         g *= p
-    return _Factor(p, q, gens), sigma, tau
+    return _Factor(p, q, n), sigma, tau
 
 
 def _check_level(N: int) -> int:
@@ -436,7 +463,7 @@ def build_space(N: int) -> SymbolSpace:
     for p, e in factorize(N):
         factor, local_sigma, local_tau = _local_space(p, p**e)
         if factors:  # column k * n + b for the class of column k so far and local column b
-            n = len(factor.gens)
+            n = factor.n
             sigma = [a + b for a in (a * n for a in sigma) for b in local_sigma]
             tau = [a + b for a in (a * n for a in tau) for b in local_tau]
         else:  # taken as they are: a copy adds about 60 MB to the peak RSS at a prime near MAX_PSI
@@ -491,6 +518,9 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
                 raise ValueError(f"column {k!r} is not a generator at level {space.N}")
         rows.append(space._on_sigma_quotient(vec.items()))
     support = {e for row in rows for e in row}  # S, edges named by their larger column
+    on_support = bytearray(len(sigma))  # 1 at both columns of each edge of S
+    for e in support:
+        on_support[e] = on_support[sigma[e]] = 1
 
     group = [-1] * len(sigma)  # group[k]: the group of the tau orbit of column k, once reached
     parent: list[int] = []  # union-find forest of the groups
@@ -514,11 +544,13 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
     for k in queue:  # breadth first over G - S; the queue grows as orbits are reached
         if growing < 2:
             break
-        g = root(group[k])
+        g = group[k]
+        while parent[g] != g:  # root(), inlined in the search
+            g = parent[g]
         t = tau[k]
         for i in (k,) if t == k else (k, t, tau[t]):
             j = sigma[i]
-            if j == i or (i if i > j else j) in support:
+            if j == i or on_support[i]:
                 continue  # no edge, or an edge of S
             h = group[j]
             if h < 0:
@@ -526,7 +558,10 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
                 group[j] = group[t] = group[tau[t]] = g
                 queue.append(j)
                 pending[g] += 1
-            elif (h := root(h)) != g:
+                continue
+            while parent[h] != h:
+                h = parent[h]
+            if h != g:
                 parent[h] = g
                 pending[g] += pending[h]
                 growing -= 1

@@ -2,19 +2,21 @@
 
 These were the engine's production paths before the cut search in the
 tau-orbit graph, the orbit enumeration of P^1, the classification of P^1
-by closed-form columns, the census by translation orbits and the census
-tally by rotated rows replaced them: dense fraction-free (Bareiss)
+by closed-form columns, the recurrence for inverses mod a prime power,
+the census by translation orbits and the census tally by rotated rows
+replaced them: dense fraction-free (Bareiss)
 elimination over Q, dense Gaussian elimination mod p, the heap-driven
 sparse row echelon mod p (:class:`_Echelon`, which takes any relation
 rows, not only those of a tau-orbit graph), the depth-first spanning
 tree of the tau-orbit graph and the rank of column rows from their
 cotree residuals (:func:`quotient_rank_by_cotree`), P^1 normalization by
 Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1 enumeration that
-normalizes every pair (g, v) with g | N, the relation build and the
-Hecke action that normalize every translate, the census that scans
-every coefficient triple (a, b, c), the census by translation orbits
-alone, the census by orbit slices that steps through every x and every
-c in Python (:func:`brute_force_census_by_slices`), and the finite-field
+normalizes every pair (g, v) with g | N, the table of inverses mod a
+prime power by one ``pow`` per unit (:func:`inverses_by_pow`), the
+relation build and the Hecke action that normalize every translate, the
+census that scans every coefficient triple (a, b, c), the census by
+translation orbits alone, the census by orbit slices that steps through
+every x and every c in Python (:func:`brute_force_census_by_slices`), and the finite-field
 operations (addition, powers, inverses, negation, subtraction and the
 quadratic character by Euler's criterion) that the census no longer
 needs now that it adds and multiplies through tables.  The oracles'
@@ -355,6 +357,11 @@ def quotient_rank_by_cotree(space: SymbolSpace, vectors: Iterable[Mapping[int, i
         x = list(accumulate(diff))
         residuals.append([(e, r) for e, head, tail in tree.cotree if (r := row.get(e, 0) - x[head] + x[tail])])
     return _Echelon(p, residuals).rank
+
+
+def inverses_by_pow(p: int, q: int) -> list[int]:
+    """x^-1 mod q at each unit x of Z/qZ, and 0 at the other residues, for q = p^e: one pow per unit."""
+    return [pow(x, -1, q) if x % p else 0 for x in range(q)]
 
 
 def p1_list_by_normalize(N: int) -> tuple[ManinSymbol, ...]:

@@ -132,6 +132,19 @@ def test_verdicts_build_spaces_through_the_gate_namespace(capsys, monkeypatch, a
     assert ranked and all(any(space is b for b in built) for space in ranked)
 
 
+def test_only_naming_a_column_lists_p1(capsys, monkeypatch):
+    # homology never names a class, so it lists no P^1; verify names the winding
+    # symbol once per level, in the one canonical check of its Hecke vectors
+    listed = []
+    p1 = maninspace.p1_list
+    monkeypatch.setattr(maninspace, "p1_list", lambda N: listed.append(N) or p1(N))
+    for N in ("389", "243", "30"):
+        assert cli.main(["homology", "--N", N]) == 0
+    assert listed == []
+    assert cli.main(["verify", "--N", "169", "--d", "3"]) == 0
+    assert listed == [169]
+
+
 # Run in this order in one process: a usage error, help, census with --N and
 # then without it, and each subcommand with its defaults and with every option.
 PARSER_SEQUENCE = (

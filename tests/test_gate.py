@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from torsion_gate import gate
-from torsion_gate.exactmath import euler_phi, factorize, is_prime
+from torsion_gate.exactmath import divisors, euler_phi, factorize, is_prime
 from torsion_gate.gate import (
     GONALITY,
     X0_THREE_GONAL_BY_GENUS,
@@ -300,3 +300,48 @@ def test_prime_level_coverage_map(d):
         assert (report.outcome, report.witness_prime) == expected, N
     excluded = sum(report.excluded for report in verdicts.values())
     assert (len(PRIME_LEVELS), excluded) == (72, {1: 72, 2: 61, 3: 55}[d])
+
+
+# The minimal levels (ROADMAP C): N is not realized over degree-d fields, every proper divisor
+# of N is, and every prime factor of N is allowed: p <= 7 at d = 1 (Mazur 1977), p <= 13 at
+# d = 2 (Kamienny 1992, Kenku-Momose 1988) and d = 3 (Parent 2000, 2003).  A proper divisor
+# N/p is realized, so N <= max(realized) * (largest allowed prime) bounds the search.  Each
+# excluded level with its method and witness prime; every other minimal level is inconclusive.
+ALLOWED_PRIMES = {1: 7, 2: 13, 3: 13}
+MINIMAL_LEVEL_EXCLUSIONS = {
+    1: {14: ("T4", 3), 15: ("T4", 7), 21: ("T4", 5), 25: ("methodA", 3), 27: ("T3", 5), 35: ("T4", 3), 49: ("T3", 3)},
+    2: {
+        22: ("methodA", 3), 25: ("methodA", 3), 49: ("methodA", 3),
+        55: ("T4", 3), 65: ("T4", 3), 77: ("T4", 3), 91: ("T4", 3), 143: ("T4", 3),
+        121: ("T3", 3), 169: ("T3", 3),
+    },
+    3: {
+        22: ("methodA", 3), 25: ("methodA", 3), 40: ("methodA", 3), 49: ("methodA", 3), 55: ("methodA", 3),
+        77: ("T4", 3), 91: ("T4", 3), 143: ("T4", 3),
+        169: ("T3", 5),
+    },
+}
+
+
+def minimal_levels(d: int) -> list[int]:
+    realized, bound = set(REALIZED_LEVELS[d]), ALLOWED_PRIMES[d]
+    return [
+        N
+        for N in range(2, max(realized) * bound + 1)
+        if N not in realized
+        and all(p <= bound for p, _ in factorize(N))
+        and all(k in realized for k in divisors(N)[:-1])
+    ]
+
+
+@pytest.mark.parametrize("d", sorted(MINIMAL_LEVEL_EXCLUSIONS))
+def test_minimal_level_coverage_map(d, cached_gate):
+    levels = minimal_levels(d)
+    excluded = MINIMAL_LEVEL_EXCLUSIONS[d]
+    assert (len(levels), len(excluded)) == {1: (11, 7), 2: (23, 10), 3: (24, 9)}[d]
+    assert set(excluded) <= set(levels)
+    for N in levels:
+        report = verify_cyclic_exclusion(N, d)
+        method, p = excluded.get(N, (None, None))
+        expected = ("inconclusive", None) if method is None else (f"excluded-{method}", p)
+        assert (report.outcome, report.witness_prime) == expected, N

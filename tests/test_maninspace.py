@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from torsion_gate import maninspace
-from torsion_gate.exactmath import gcd
+from torsion_gate.exactmath import factorize, gcd
 from torsion_gate.hecke import criterion_vectors
 from torsion_gate.maninspace import (
     MAX_PSI,
@@ -25,6 +26,7 @@ from oracles import (
     bareiss_rank,
     dense_rank_mod_p,
     dense_rows,
+    inverses_by_pow,
     p1_list_by_normalize,
     p1_normalize,
     quotient_rank_by_cotree,
@@ -433,8 +435,40 @@ def test_build_space_guards_psi_before_listing(monkeypatch):
         with pytest.raises(ValueError, match="level guard"):
             build_space(N)
     assert listed == []
-    # a space is built from its prime powers, each listed once in ascending order
-    assert build_space(30).psi == index_x0(30) and listed == [2, 3, 5]
+    # a space is built without listing P^1; the first symbol() lists each prime power once,
+    # in ascending order, and later calls read the kept lists
+    space = build_space(30)
+    assert space.psi == index_x0(30) and listed == []
+    assert space.symbol(0) == ManinSymbol(0, 1) and listed == [2, 3, 5]
+    assert space.symbol(space.psi - 1) != space.symbol(0) and listed == [2, 3, 5]
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_p1_list_leaves_the_collector_as_it_found_it(enabled):
+    # the listing pauses the collector and must restore it either way
+    was = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert len(p1_list(2431)) == index_x0(2431)
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_inverses_match_pow_oracle():
+    # the recurrence at every prime power q < 3000: primes, the steps through x - r
+    # where p | q % x at higher powers (2187 = 3^7, 2401 = 7^4), and powers of 2
+    prime_powers = [q for q in range(2, 3000) if len(factorize(q)) == 1]
+    assert {2187, 2401, 2048, 2999} <= set(prime_powers)
+    for q in prime_powers:
+        p = factorize(q)[0][0]
+        assert maninspace._inverses(p, q) == inverses_by_pow(p, q), q
 
 
 def test_quotient_rank_mod_p_rejects_foreign_symbols(get_space):
