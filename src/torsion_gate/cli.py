@@ -18,7 +18,7 @@ import sys
 import time
 
 from .exactmath import PrimePower, factorize
-from .gate import ConditionEvidence, GateReport, verify_cyclic_exclusion
+from .gate import ConditionEvidence, verify_cyclic_exclusion
 from .hecke import generic_winding_expansion, hecke_action, winding_symbol
 from .maninspace import build_space, cusp_count_x0, genus_x0
 from .redux import _check_census_q, admissible_traces, brute_force_census
@@ -37,24 +37,21 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _envelope(command: str, inputs: dict, outcome: str, evidence: list[ConditionEvidence], elapsed_ms: int, **extra) -> dict:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "outcome": outcome,
-        "evidence": [e.to_json_dict() for e in evidence],
-        "timing": {"elapsed_ms": int(elapsed_ms)},
-    }
-    doc.update(extra)
-    return doc
-
-
-def _emit(args, doc: dict, text_lines: list[str]) -> None:
+def _emit(args, outcome: str, evidence: list[ConditionEvidence], lines: list[str], elapsed_ms: int, **extra) -> None:
+    """Print one report: the JSON envelope, whose inputs are the parsed options, or the text lines."""
     if args.format == "json":
+        doc = {
+            "version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": {k: v for k, v in vars(args).items() if k not in ("command", "format")},
+            "outcome": outcome,
+            "evidence": [{**e._asdict(), "witnesses": {k: str(v) for k, v in e.witnesses}} for e in evidence],
+            "timing": {"elapsed_ms": int(elapsed_ms)},
+            **extra,
+        }
         sys.stdout.write(canonical_json(doc))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(lines))
     sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
 
 
@@ -120,25 +117,21 @@ def render_terms(terms) -> str:
     return "+".join(f"{'' if c == 1 else c}({u},{v})" for (u, v), c in terms)
 
 
-def _report_lines(report: GateReport) -> list[str]:
-    lines = [f"cyclic torsion Z/{report.N}Z over degree-{report.d} fields"]
-    lines += [f"  {e}" for e in report.evidence]
-    tail = f"  (witness prime p={report.witness_prime})" if report.witness_prime else ""
-    lines.append(f"outcome: {report.outcome}{tail}  [{report.elapsed_ms} ms]")
-    return lines
+def _evidence_line(e: ConditionEvidence) -> str:
+    flag = "pass" if e.passed else "FAIL"
+    parts = ", ".join(f"{k}={v}" for k, v in e.witnesses)
+    tail = f"  [{parts}]" if parts else ""
+    return f"  [{flag}] {e.name}: {e.detail}{tail}"
 
 
 def cmd_verify(args) -> int:
     report = verify_cyclic_exclusion(args.N, args.d, p_max=args.p_max)
-    doc = _envelope(
-        "verify",
-        {"N": args.N, "d": args.d, "p_max": args.p_max},
-        report.outcome,
-        report.evidence,
-        report.elapsed_ms,
-        witness_prime=None if report.witness_prime is None else str(report.witness_prime),
-    )
-    _emit(args, doc, _report_lines(report))
+    witness = report.witness_prime
+    lines = [f"cyclic torsion Z/{report.N}Z over degree-{report.d} fields", *map(_evidence_line, report.evidence)]
+    tail = f"  (witness prime p={witness})" if witness else ""
+    lines.append(f"outcome: {report.outcome}{tail}  [{report.elapsed_ms} ms]")
+    witness_json = None if witness is None else str(witness)
+    _emit(args, report.outcome, report.evidence, lines, report.elapsed_ms, witness_prime=witness_json)
     return 0 if report.excluded else 2
 
 
@@ -164,20 +157,18 @@ def cmd_homology(args) -> int:
         ),
         f"dimension {dim} = psi {psi} - relation rank {rank}; 2g+c-1 = {2 * g + cusps - 1}",
     )
-    doc = _envelope("homology", {"N": args.N}, "ok" if consistent else "inconsistent", [ev], elapsed)
     lines = [
         f"level N = {args.N}: index psi = {psi} generators, relation rank {rank}",
         f"  dimension of H_1(X_0({args.N}), cusps) = {dim}",
         f"  genus {g}, {cusps} cusps, 2g+c-1 = {2 * g + cusps - 1} ({'consistent' if consistent else 'INCONSISTENT'})",
     ]
-    _emit(args, doc, lines)
+    _emit(args, "ok" if consistent else "inconsistent", [ev], lines, elapsed)
     return 0 if consistent else 2
 
 
 def cmd_hecke(args) -> int:
     if not 1 <= args.n <= 30:
-        print("torsion-gate hecke: error: --n must be within 1..30", file=sys.stderr)
-        return 1
+        raise ValueError("--n must be within 1..30")
     t0 = time.monotonic_ns()
     space = build_space(args.N)
     raw = generic_winding_expansion(args.N, args.n)
@@ -191,20 +182,12 @@ def cmd_hecke(args) -> int:
         (("N", args.N), ("n", args.n), ("terms", len(vec))),
         f"T_{args.n}(0,1) = {can_str}",
     )
-    doc = _envelope(
-        "hecke",
-        {"N": args.N, "n": args.n},
-        "ok",
-        [ev],
-        elapsed,
-        expansion={"generic": raw_str, "canonical": can_str},
-    )
     lines = [
         f"T_{args.n}(0,1) at level {args.N}",
         f"  raw translates:  {raw_str}",
         f"  canonical form:  {can_str}",
     ]
-    _emit(args, doc, lines)
+    _emit(args, "ok", [ev], lines, elapsed, expansion={"generic": raw_str, "canonical": can_str})
     return 0
 
 
@@ -212,8 +195,7 @@ def cmd_census(args) -> int:
     _check_census_q(args.q)  # before factoring q, which takes seconds at q ~ 10^16
     fac = factorize(args.q)
     if len(fac) != 1:
-        print(f"torsion-gate census: error: q = {args.q} is not a prime power", file=sys.stderr)
-        return 1
+        raise ValueError(f"q = {args.q} is not a prime power")
     if args.N is not None and args.N < 1:
         raise ValueError("N must be positive")
     (p, n), = fac
@@ -260,8 +242,7 @@ def cmd_census(args) -> int:
         lines.append(
             f"  orders divisible by {args.N}: " + ("none (no admissible order)" if ok else " ".join(map(str, hits)))
         )
-    doc = _envelope("census", {"q": args.q, "N": args.N}, "match" if match else "mismatch", evidence, elapsed)
-    _emit(args, doc, lines)
+    _emit(args, "match" if match else "mismatch", evidence, lines, elapsed)
     return 0 if match else 2
 
 
@@ -280,20 +261,13 @@ def cmd_reproduce(args) -> int:
         for r in reports
     ]
     all_ok = excluded == len(CASE_LEVELS)
-    doc = _envelope(
-        "reproduce",
-        {"d": args.d, "p_max": args.p_max},
-        "all-excluded" if all_ok else "incomplete",
-        evidence,
-        elapsed,
-    )
     lines = [f"re-verifying {len(CASE_LEVELS)} cyclic torsion exclusions at degree d={args.d}"]
     lines.append(f"  {'N':>4}  {'outcome':<18} {'witness':<8} ms")
     for r in reports:
         witness = f"p={r.witness_prime}" if r.witness_prime else "-"
         lines.append(f"  {r.N:>4}  {r.outcome:<18} {witness:<8} {r.elapsed_ms}")
     lines.append(f"summary: {excluded}/{len(CASE_LEVELS)} excluded")
-    _emit(args, doc, lines)
+    _emit(args, "all-excluded" if all_ok else "incomplete", evidence, lines, elapsed)
     return 0 if all_ok else 2
 
 
@@ -315,7 +289,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ValueError as exc:  # domain violations (N < 1, p_max < 3, ...)
+    except ValueError as exc:  # usage and domain errors (--n out of range, N < 1, p_max < 3, ...)
         print(f"torsion-gate {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

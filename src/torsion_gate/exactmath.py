@@ -48,6 +48,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Trial-division factorization: the pairs (q_j, e_j), q_j increasing; factorize(1) is ()."""
     if n < 1:

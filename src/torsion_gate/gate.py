@@ -48,20 +48,6 @@ class ConditionEvidence(NamedTuple):
     witnesses: tuple[tuple[str, int], ...] = ()
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witnesses": {k: str(v) for k, v in self.witnesses},
-            "detail": self.detail,
-        }
-
-    def __str__(self) -> str:
-        flag = "pass" if self.passed else "FAIL"
-        parts = ", ".join(f"{k}={v}" for k, v in self.witnesses)
-        tail = f"  [{parts}]" if parts else ""
-        return f"[{flag}] {self.name}: {self.detail}{tail}"
-
 
 def _ev(name: str, passed: bool, detail: str = "", **witnesses: int) -> ConditionEvidence:
     return ConditionEvidence(name, passed, tuple(witnesses.items()), detail)

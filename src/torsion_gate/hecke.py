@@ -97,7 +97,7 @@ def _check_canonical(space: SymbolSpace, x: ManinSymbol) -> None:
     """ValueError unless x is a point of P^1(Z/NZ) and the canonical symbol of its class."""
     N = space.N
     if not (gcd(gcd(x.u, x.v), N) == 1 and space.symbol(space.index(x.u, x.v)) == x):
-        raise ValueError(f"{x} is not a canonical symbol at level {N}")
+        raise ValueError(f"({x.u},{x.v}) is not a canonical symbol at level {N}")
 
 
 def _hecke_row(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:

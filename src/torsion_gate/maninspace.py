@@ -80,7 +80,7 @@ import gc
 from itertools import islice, repeat
 from typing import Iterable, Mapping, NamedTuple
 
-from .exactmath import divisors, euler_phi, factorize, gcd, is_prime
+from .exactmath import _check_odd_prime, divisors, euler_phi, factorize, gcd
 
 __all__ = [
     "ManinSymbol",
@@ -99,9 +99,6 @@ class ManinSymbol(NamedTuple):
 
     u: int
     v: int
-
-    def __str__(self) -> str:
-        return f"({self.u},{self.v})"
 
 
 def p1_list(N: int) -> tuple[ManinSymbol, ...]:
@@ -444,11 +441,6 @@ def _check_level(N: int) -> int:
     if psi > MAX_PSI:
         raise ValueError(f"level guard: psi({N}) = {psi} exceeds {MAX_PSI}")
     return psi
-
-
-def _check_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def build_space(N: int) -> SymbolSpace:

@@ -29,7 +29,7 @@ from collections import Counter
 from operator import getitem, itemgetter
 from typing import NamedTuple
 
-from .exactmath import PrimePower, field_make, gcd, is_prime, isqrt
+from .exactmath import PrimePower, _check_odd_prime, field_make, gcd, is_prime, isqrt
 from .gate import ConditionEvidence, _ev, _gonality_evidence
 
 __all__ = [
@@ -317,8 +317,7 @@ def method_a_verdict(N: int, d: int, p: int) -> list[ConditionEvidence]:
     by N.  A pass reproduces the contradiction: good reduction is forced,
     yet no residue-field curve admits a point of order N.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _check_odd_prime(p)
     if N < 1:
         raise ValueError("N must be positive")
     if N % p == 0:

@@ -275,8 +275,9 @@ def test_render_terms():
 
 
 def test_hecke_index_guard(capsys):
-    assert cli.main(["hecke", "--N", "169", "--n", "31"]) == 1
-    assert cli.main(["hecke", "--N", "169", "--n", "0"]) == 1
+    for n in ("0", "31"):
+        assert cli.main(["hecke", "--N", "169", "--n", n]) == 1
+        assert capsys.readouterr() == ("", "torsion-gate hecke: error: --n must be within 1..30\n")
 
 
 def test_census_match(capsys):

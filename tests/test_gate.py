@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from torsion_gate import gate
+from torsion_gate import cli, gate
 from torsion_gate.exactmath import divisors, euler_phi, factorize, is_prime
 from torsion_gate.gate import (
     GONALITY,
@@ -253,12 +255,12 @@ def test_verify_cyclic_exclusion_beyond_table_range(cached_gate):
     assert [e.name for e in report.evidence] == ["gonality-tables-range"]
 
 
-def test_report_json_dict_uses_decimal_strings(cached_gate):
-    report = verify_cyclic_exclusion(91, 3)
-    assert report.witness_prime == 3
-    for e in report.evidence:
-        doc = e.to_json_dict()
-        assert all(isinstance(v, str) and v.lstrip("-").isdigit() for v in doc["witnesses"].values())
+def test_report_json_dict_uses_decimal_strings(cached_gate, capsys):
+    assert cli.main(["verify", "--N", "91", "--d", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness_prime"] == "3"
+    for e in doc["evidence"]:
+        assert all(isinstance(v, str) and v.lstrip("-").isdigit() for v in e["witnesses"].values())
 
 
 # Cyclic levels N such that Z/NZ is the torsion of some elliptic curve over
