@@ -93,23 +93,25 @@ def _kept_translates(N: int, n: int, u: int, v: int):
             yield up, vp
 
 
-def _check_canonical(space: SymbolSpace, x: ManinSymbol) -> None:
+def _check_canonical(space: SymbolSpace, x: tuple[int, int]) -> None:
     """ValueError unless x is a point of P^1(Z/NZ) and the canonical symbol of its class."""
     N = space.N
-    if not (gcd(gcd(x.u, x.v), N) == 1 and space.symbol(space.index(x.u, x.v)) == x):
-        raise ValueError(f"({x.u},{x.v}) is not a canonical symbol at level {N}")
+    u, v = x
+    if not (gcd(gcd(u, v), N) == 1 and space.symbol(space.index(u, v)) == x):
+        raise ValueError(f"({u},{v}) is not a canonical symbol at level {N}")
 
 
-def _hecke_row(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
+def _hecke_row(space: SymbolSpace, n: int, x: tuple[int, int]) -> dict[int, int]:
     """T_n(x) as a column row, for a symbol x already checked canonical."""
     acc: dict[int, int] = {}  # a dict, not a Counter: building one costs more than these few terms
-    for up, vp in _kept_translates(space.N, n, x.u, x.v):
+    u, v = x
+    for up, vp in _kept_translates(space.N, n, u, v):
         col = space.index(up, vp)
         acc[col] = acc.get(col, 0) + 1
     return acc
 
 
-def hecke_action(space: SymbolSpace, n: int, x: ManinSymbol) -> dict[int, int]:
+def hecke_action(space: SymbolSpace, n: int, x: tuple[int, int]) -> dict[int, int]:
     """T_n applied to one canonical symbol, as a column row of ``space``."""
     _check_canonical(space, x)
     return _hecke_row(space, n, x)

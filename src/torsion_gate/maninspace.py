@@ -34,13 +34,14 @@ a component that touches no edge of S).  So ``quotient_rank_mod_p``,
 rank([R; V]) - rank(R), is rank([cuts; V]) - rank(cuts), on rows with at
 most |S| columns: the engine's only elimination.  The components come
 from a breadth-first search over tau orbits in G - S, started at every
-endpoint of S, one group per start.  A union-find merges two groups when
-they meet, and a group whose frontier empties is a whole component.  The
-search stops when at most one group is still growing: the cuts of all
-components sum to delta 1 = 0, so the last group's cut is implied by the
-others.  The rank is therefore exact wherever the search stops; that it
-stays near S is a matter of speed only.  Vectors are column rows: dicts
-from a column (numbered as below) to a nonzero coefficient.
+endpoint of S, one group per start, and a union-find merges two groups
+when they meet.  The search stops when one group is left: every edge of S
+then lies inside one component, and there is no cut.  Otherwise its queue
+runs out, and every group is a whole component.  The rank is exact either
+way; that the first case comes soon, near S, is a matter of speed only
+(for the criterion vectors below N = 6000 the queue runs out only at
+levels of psi at most 182).  Vectors are column rows: dicts from a column
+(numbered as below) to a nonzero coefficient.
 
 P^1(Z/NZ) is the product of P^1(Z/qZ) over the prime powers q || N (the
 Chinese remainder theorem), and sigma and tau act on each factor
@@ -76,7 +77,6 @@ The relation rows are derived from sigma and tau on request.
 
 from __future__ import annotations
 
-import gc
 from itertools import islice, repeat
 from typing import Iterable, Mapping, NamedTuple
 
@@ -101,44 +101,34 @@ class ManinSymbol(NamedTuple):
     v: int
 
 
-def p1_list(N: int) -> tuple[ManinSymbol, ...]:
-    """All canonical representatives of P^1(Z/NZ), sorted; length psi(N).
+def p1_list(N: int) -> tuple[tuple[int, int], ...]:
+    """All canonical representatives (u, v) of P^1(Z/NZ), sorted; length psi(N).
 
     Every class has a member (g, v) with g = gcd(u, N) dividing N.  For
     g < N the classes are the residues w mod m = N/g with gcd(w, g, m) = 1
     (module docstring, with N for q), each represented by its least lift
-    w + km coprime to g.
-
-    The symbols are listed with the cyclic garbage collector paused (and
-    its prior state restored): they hold only ints and form no cycle, but
-    a ``ManinSymbol`` is a tuple subclass, which the collector never
-    untracks, so every collection during the listing would re-walk those
-    already made.
+    w + km coprime to g.  The representatives are plain tuples of ints,
+    which the cyclic garbage collector untracks, so a collection during
+    the listing does not re-walk those already made.
     """
     if N < 1:
         raise ValueError("level must be positive")
     if N == 1:
-        return (ManinSymbol(0, 0),)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        out = [ManinSymbol(0, 1)]  # g = N: the class of (0, 1)
-        for g in divisors(N)[:-1]:
-            m = N // g
-            h = gcd(g, m)
-            lifts = range(m) if h == 1 else [w for w in range(m) if gcd(w, h) == 1]
-            if g > 1:
-                lifts = list(lifts)
-                for i, w in enumerate(lifts):
-                    while gcd(w, g) != 1:
-                        w += m
-                    lifts[i] = w
-                lifts.sort()
-            out.extend(map(tuple.__new__, repeat(ManinSymbol), zip(repeat(g), lifts)))  # ascending g, then v: sorted
-        return tuple(out)
-    finally:
-        if enabled:
-            gc.enable()
+        return ((0, 0),)
+    out = [(0, 1)]  # g = N: the class of (0, 1)
+    for g in divisors(N)[:-1]:
+        m = N // g
+        h = gcd(g, m)
+        lifts = range(m) if h == 1 else [w for w in range(m) if gcd(w, h) == 1]
+        if g > 1:
+            lifts = list(lifts)
+            for i, w in enumerate(lifts):
+                while gcd(w, g) != 1:
+                    w += m
+                lifts[i] = w
+            lifts.sort()
+        out.extend(zip(repeat(g), lifts))  # ascending g, then v: sorted
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +211,8 @@ class SymbolSpace:
     :meth:`index`, which folds the closed-form local columns, is the
     engine's only P^1 classifier; :meth:`symbol` names a column's class.
     A space is built without naming any class: the first :meth:`symbol`
-    call lists each local P^1 with :func:`p1_list`, and the lists are kept
-    for later calls, as the relation rank is.
+    call lists each local P^1 with :func:`p1_list`, as plain (u, v) tuples,
+    and the lists are kept for later calls, as the relation rank is.
     """
 
     def __init__(self, N: int, factors: tuple[_Factor, ...], sigma: list[int], tau: list[int]):
@@ -231,7 +221,7 @@ class SymbolSpace:
         self._sigma = sigma
         self._tau = tau
         self._rank: int | None = None  # the relation rank, counted on the first query
-        self._gens: list[tuple[ManinSymbol, ...]] | None = None  # the local P^1 lists, made on the first symbol()
+        self._gens: list[tuple[tuple[int, int], ...]] | None = None  # the local P^1 lists, made on the first symbol()
 
     def index(self, u: int, v: int) -> int:
         """Column of the class of (u, v): at each q, (u, v) is scaled to (g, w) and numbered in closed form.
@@ -496,9 +486,10 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
     exact by right-exactness of tensoring with F_p, and computed as
     rank([cuts; V]) - rank(cuts) on the edges S that the substituted vectors
     touch, with the cuts of the components of G - S that the search of the
-    module docstring settles.  Raises ValueError unless p is an odd prime,
-    and for a column outside range(psi), which has no edge of its own; a
-    negative one would read another column's.
+    module docstring finds: none when one component holds all of S.  Raises
+    ValueError unless p is an odd prime, and for a column outside
+    range(psi), which has no edge of its own; a negative one would read
+    another column's.
     """
     _check_odd_prime(p)
     sigma, tau = space._sigma, space._tau
@@ -516,7 +507,6 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
 
     group = [-1] * len(sigma)  # group[k]: the group of the tau orbit of column k, once reached
     parent: list[int] = []  # union-find forest of the groups
-    pending: list[int] = []  # pending[g], for a root g: its orbits queued and not yet expanded
     queue: list[int] = []  # a column of each orbit reached, in the order reached
 
     def root(g: int) -> int:
@@ -530,12 +520,11 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
                 t = tau[k]
                 group[k] = group[t] = group[tau[t]] = len(parent)  # one entry thrice when tau fixes k
                 parent.append(len(parent))
-                pending.append(1)
                 queue.append(k)
-    growing = len(parent)
+    roots = len(parent)
     for k in queue:  # breadth first over G - S; the queue grows as orbits are reached
-        if growing < 2:
-            break
+        if roots < 2:
+            break  # one component holds every edge of S: no cut
         g = group[k]
         while parent[g] != g:  # root(), inlined in the search
             g = parent[g]
@@ -549,23 +538,17 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
                 t = tau[j]
                 group[j] = group[t] = group[tau[t]] = g
                 queue.append(j)
-                pending[g] += 1
                 continue
             while parent[h] != h:
                 h = parent[h]
             if h != g:
                 parent[h] = g
-                pending[g] += pending[h]
-                growing -= 1
-        pending[g] -= 1
-        if not pending[g]:
-            growing -= 1  # g is a component of G - S
+                roots -= 1
 
-    cuts: dict[int, dict[int, int]] = {}  # settled root -> its cut on S
+    cuts: dict[int, dict[int, int]] = {}  # root -> its cut on S
     for e in support:
         head, tail = root(group[e]), root(group[sigma[e]])
         if head != tail:
-            for r, c in ((head, 1), (tail, -1)):
-                if not pending[r]:
-                    cuts.setdefault(r, {})[e] = c
+            cuts.setdefault(head, {})[e] = 1
+            cuts.setdefault(tail, {})[e] = -1
     return _rank_mod_p([*cuts.values(), *rows], p) - _rank_mod_p(cuts.values(), p)

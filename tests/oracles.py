@@ -417,8 +417,9 @@ def hecke_action_by_normalize(N: int, n: int, x: ManinSymbol) -> dict[ManinSymbo
     A translate with gcd(x', y', N) != 1 is omitted, as in the engine.
     """
     acc: dict[ManinSymbol, int] = {}
+    u, v = x
     for m in merel_matrices(n):
-        pair = right_translate(N, x.u, x.v, ((m.a, m.b), (m.c, m.d)))
+        pair = right_translate(N, u, v, ((m.a, m.b), (m.c, m.d)))
         if gcd(gcd(*pair), N) != 1:
             continue
         sym = p1_normalize(N, *pair)

@@ -109,9 +109,9 @@ def test_criterion_8_property_suites(get_space):
         # sigma involution and tau order three on every generator, N <= 50
         for N in range(1, 51):
             for sym in p1_list(N):
-                pair = right_translate(N, *right_translate(N, sym.u, sym.v, SIGMA), SIGMA)
+                pair = right_translate(N, *right_translate(N, *sym, SIGMA), SIGMA)
                 assert p1_normalize(N, *pair) == sym
-                pair = (sym.u, sym.v)
+                pair = sym
                 for _ in range(3):
                     pair = right_translate(N, *pair, TAU)
                 assert p1_normalize(N, *pair) == sym

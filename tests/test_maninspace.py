@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import random
 
 import pytest
@@ -179,15 +178,15 @@ def test_p1_list_entries_are_canonical_and_distinct():
         gens = p1_list(N)
         assert len(set(gens)) == len(gens)
         for sym in gens:
-            assert type(sym) is ManinSymbol and p1_normalize(N, *sym) == sym
+            assert type(sym) is tuple and p1_normalize(N, *sym) == sym
 
 
 def test_sigma_involution_and_tau_order_three():
     for N in range(1, 51):
         for sym in p1_list(N):
-            pair = right_translate(N, *right_translate(N, sym.u, sym.v, SIGMA), SIGMA)
+            pair = right_translate(N, *right_translate(N, *sym, SIGMA), SIGMA)
             assert p1_normalize(N, *pair) == sym
-            pair = (sym.u, sym.v)
+            pair = sym
             for _ in range(3):
                 pair = right_translate(N, *pair, TAU)
             assert p1_normalize(N, *pair) == sym
@@ -322,31 +321,47 @@ def orbit_sets(space, rng):
         yield rng.sample(orbits, rng.randint(1, len(orbits)))
 
 
-@pytest.mark.parametrize("N", [11, 13, 36, 91, 169, 389, 1001])
-def test_cuts_of_orbit_sets_die_in_the_quotient(N, get_space, monkeypatch):
-    # delta 1_U, the sum of the tau rows of the orbits in U, is a coboundary:
-    # it dies in the quotient and adds nothing to the criterion vectors.  Its
-    # edges S cut the orbits of U off from the rest, so small components of
-    # G - S settle while the search runs, and their cuts reach the elimination
-    space = get_space(N)
-    vectors = criterion_vectors(space, 3)
-    ranked = []
+@pytest.fixture
+def ranked(monkeypatch):
+    """The rows of each ``_rank_mod_p`` call, recorded in order: the cuts alone are ranked last."""
+    calls = []
     rank = maninspace._rank_mod_p
 
     def recording_rank(rows, p):
-        ranked.append(rows := list(rows))
+        calls.append(rows := list(rows))
         return rank(rows, p)
 
     monkeypatch.setattr(maninspace, "_rank_mod_p", recording_rank)
-    settled = 0
+    return calls
+
+
+@pytest.mark.parametrize("N", [11, 13, 36, 91, 169, 389, 1001])
+def test_cuts_of_orbit_sets_die_in_the_quotient(N, get_space, ranked):
+    # delta 1_U, the sum of the tau rows of the orbits in U, is a coboundary:
+    # it dies in the quotient and adds nothing to the criterion vectors.  Its
+    # edges S cut the orbits of U off from the rest, so G - S falls apart,
+    # the search runs its queue out, and the components' cuts reach the elimination
+    space = get_space(N)
+    vectors = criterion_vectors(space, 3)
+    cuts = 0
     for U in orbit_sets(space, random.Random(N)):
         cut = {k: 1 for orbit in U for k in orbit}
         for p in (3, 5, 7):
             assert quotient_rank_mod_p(space, [cut], p) == 0, (U, p)
-            settled += len(ranked[-1])  # the settled cuts, ranked alone last
+            cuts += len(ranked[-1])  # the components' cuts, ranked alone last
             if N % p:
                 assert quotient_rank_mod_p(space, [*vectors, cut], p) == quotient_rank_mod_p(space, vectors, p), (U, p)
-    assert settled
+    assert cuts
+
+
+def test_criterion_vectors_need_no_cut_above_169(ranked):
+    # at these levels the edges that T_1..T_2d(0,1) touch all lie in one
+    # component of G - S, so the search stops with one group and ranks no cut
+    for N in range(170, 2001):
+        space = build_space(N)
+        for d in (1, 2, 3):
+            quotient_rank_mod_p(space, criterion_vectors(space, d), 3)
+            assert ranked[-1] == [], (N, d)  # the cuts, ranked alone last
 
 
 @pytest.mark.parametrize("N", [*range(1, 121), 169, 243, 389, 1001, 2431])
@@ -441,24 +456,6 @@ def test_build_space_guards_psi_before_listing(monkeypatch):
     assert space.psi == index_x0(30) and listed == []
     assert space.symbol(0) == ManinSymbol(0, 1) and listed == [2, 3, 5]
     assert space.symbol(space.psi - 1) != space.symbol(0) and listed == [2, 3, 5]
-
-
-@pytest.mark.parametrize("enabled", (True, False))
-def test_p1_list_leaves_the_collector_as_it_found_it(enabled):
-    # the listing pauses the collector and must restore it either way
-    was = gc.isenabled()
-    try:
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
-        assert len(p1_list(2431)) == index_x0(2431)
-        assert gc.isenabled() is enabled
-    finally:
-        if was:
-            gc.enable()
-        else:
-            gc.disable()
 
 
 def test_inverses_match_pow_oracle():
