@@ -4,10 +4,11 @@ Two certification routes are implemented.
 
 Route T3/T4 (Kamienny-style criterion): find an odd prime p not dividing
 N such that N clears the Hasse gate N > (1 + sqrt(p^d))^2, the level's
-prime-power (T3) or coprimality (T4) divisibility conditions hold, and
-T_1(0,1), ..., T_{2d}(0,1) are independent mod p in the relative-homology
-quotient.  T4 additionally requires N squarefree composite; both require
-Gon(X_0(N)) > d.
+divisibility condition holds, and T_1(0,1), ..., T_{2d}(0,1) are
+independent mod p in the relative-homology quotient.  The condition is
+coprimality (T4) at a squarefree composite N and the prime-power
+condition (T3) at any other N; at a squarefree composite T3 implies T4,
+so it is never tried there.  Both routes require Gon(X_0(N)) > d.
 
 Route "methodA" (finite-field reduction, in :mod:`.redux`): for levels
 whose J_1(N)(Q) is known finite, good reduction at a small prime is
@@ -260,7 +261,12 @@ def _candidate_primes(N: int, p_max: int) -> Iterator[int]:
 
 
 def _witness_search(N: int, d: int, p_max: int) -> tuple[int, str, list[ConditionEvidence]] | None:
-    """Least odd prime p <= p_max passing the Hasse gate, T4 or T3, and the Hecke check.
+    """Least odd prime p <= p_max passing the Hasse gate, the level's T4 or T3 condition, and the Hecke check.
+
+    The level has one arithmetic condition: T4 at a squarefree composite,
+    T3 at any other N.  At a squarefree composite q_1...q_r, T3 asks
+    q_j not dividing p^(2i) - 1 for i <= d and T4 the same for i <= d - 1,
+    so a candidate that fails T4 fails T3 too.
 
     Returns p, the method ("T3" or "T4") and the evidence of those three
     checks.  Candidates are tested in ascending order and the search stops
@@ -269,21 +275,15 @@ def _witness_search(N: int, d: int, p_max: int) -> tuple[int, str, list[Conditio
     once, when the first candidate reaches the Hecke check.  An empty
     result is *not* a disproof.
     """
-    squarefree_composite = _squarefree_composite(N)
+    condition, method = (t4_coprimality, "T4") if _squarefree_composite(N) else (t3_divisibility, "T3")
     space: SymbolSpace | None = None
     vectors: list[dict[int, int]] = []
     for p in _candidate_primes(N, p_max):
         hasse = hasse_gate(N, p, d)
         if not hasse.passed:
             break  # (1 + sqrt(p^d))^2 grows with p, so no later candidate passes
-        # Prefer the squarefree-composite route: its coprimality condition
-        # is the one stated for such levels; fall back to the prime-power
-        # divisibility route, which applies to any N.
-        if squarefree_composite and (arith := t4_coprimality(N, p, d)).passed:
-            method = "T4"
-        elif (arith := t3_divisibility(N, p, d)).passed:
-            method = "T3"
-        else:
+        arith = condition(N, p, d)
+        if not arith.passed:
             continue
         if space is None:
             space = build_space(N)

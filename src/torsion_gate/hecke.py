@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exactmath import gcd
-from .maninspace import ManinSymbol, SymbolSpace
+from .maninspace import SymbolSpace
 
 __all__ = [
     "MerelMatrix",
@@ -77,9 +77,9 @@ def merel_matrices(n: int) -> tuple[MerelMatrix, ...]:
     return tuple(out)
 
 
-def winding_symbol(N: int) -> ManinSymbol:
-    """The Manin symbol of the modular symbol {0, oo} at level N."""
-    return ManinSymbol(0, 0) if N == 1 else ManinSymbol(0, 1)
+def winding_symbol(N: int) -> tuple[int, int]:
+    """The Manin symbol (u, v) of the modular symbol {0, oo} at level N: (0, 1), or (0, 0) at N = 1."""
+    return 0, 1 % N
 
 
 def _kept_translates(N: int, n: int, u: int, v: int):

@@ -78,12 +78,11 @@ The relation rows are derived from sigma and tau on request.
 from __future__ import annotations
 
 from itertools import islice, repeat
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .exactmath import _check_odd_prime, divisors, euler_phi, factorize, gcd
 
 __all__ = [
-    "ManinSymbol",
     "SymbolSpace",
     "build_space",
     "cusp_count_x0",
@@ -92,13 +91,6 @@ __all__ = [
     "p1_list",
     "quotient_rank_mod_p",
 ]
-
-
-class ManinSymbol(NamedTuple):
-    """A canonical representative (u, v) of a class of P^1(Z/NZ)."""
-
-    u: int
-    v: int
 
 
 def p1_list(N: int) -> tuple[tuple[int, int], ...]:
@@ -113,9 +105,7 @@ def p1_list(N: int) -> tuple[tuple[int, int], ...]:
     """
     if N < 1:
         raise ValueError("level must be positive")
-    if N == 1:
-        return ((0, 0),)
-    out = [(0, 1)]  # g = N: the class of (0, 1)
+    out = [(0, 1 % N)]  # g = N: the class of (0, 1), which is (0, 0) at N = 1
     for g in divisors(N)[:-1]:
         m = N // g
         h = gcd(g, m)
@@ -187,26 +177,16 @@ def genus_x0(N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Factor(NamedTuple):
-    """The local space at one prime power q = p^e || N: its n = psi(q) = q + q/p columns.
-
-    The local columns are the closed forms of the module docstring, in
-    the sorted order of the canonical symbols; no symbol is listed here.
-    """
-
-    p: int
-    q: int
-    n: int
-
-
 class SymbolSpace:
     """Level, its local spaces at the prime powers q || N, and the sigma and tau permutations.
 
-    ``_sigma[k]`` and ``_tau[k]`` are the columns of x.sigma and x.tau for
-    the class x of column k, numbered in the mixed radix of the module
-    docstring.  The first rank query counts the relation rank, which serves
-    every prime; since the presentation has no odd torsion, :attr:`rank_q`
-    is the rank mod 3.
+    ``_factors`` holds (p, q, n) for each prime power q = p^e || N, in
+    ascending q, with n = psi(q) = q + q/p local columns (the closed forms
+    of the module docstring).  ``_sigma[k]`` and ``_tau[k]`` are the columns
+    of x.sigma and x.tau for the class x of column k, numbered in the mixed
+    radix of the module docstring.  The first rank query counts the
+    relation rank, which serves every prime; since the presentation has no
+    odd torsion, :attr:`rank_q` is the rank mod 3.
 
     :meth:`index`, which folds the closed-form local columns, is the
     engine's only P^1 classifier; :meth:`symbol` names a column's class.
@@ -215,7 +195,7 @@ class SymbolSpace:
     and the lists are kept for later calls, as the relation rank is.
     """
 
-    def __init__(self, N: int, factors: tuple[_Factor, ...], sigma: list[int], tau: list[int]):
+    def __init__(self, N: int, factors: tuple[tuple[int, int, int], ...], sigma: list[int], tau: list[int]):
         self.N = N
         self._factors = factors
         self._sigma = sigma
@@ -246,8 +226,8 @@ class SymbolSpace:
             k = k * n + c
         return k
 
-    def symbol(self, k: int) -> ManinSymbol:
-        """The canonical (lexicographically least) symbol of column k's class.
+    def symbol(self, k: int) -> tuple[int, int]:
+        """The canonical (lexicographically least) symbol (u, v) of column k's class, a plain tuple.
 
         Its first coordinate is g = gcd(u, N), the product of the local g_i
         (q for a local (0, 1)).  Where g_i < q, (g, v) is the local class
@@ -270,7 +250,7 @@ class SymbolSpace:
         for q, (u, _) in local:
             g *= u or q
         if g == self.N:  # u = 0 mod N: the class of (0, 1), or (0, 0) when N = 1
-            return ManinSymbol(0, 1 % self.N)
+            return 0, 1 % self.N
         v, m, coprime = 0, 1, 1  # v mod m so far, and the product of the q that v must be prime to
         for q, (u, w) in local:
             if u:
@@ -281,7 +261,7 @@ class SymbolSpace:
                 coprime *= q
         while gcd(v, coprime) != 1:
             v += m
-        return ManinSymbol(g, v)
+        return g, v
 
     @property
     def psi(self) -> int:
@@ -302,18 +282,6 @@ class SymbolSpace:
             elif i < j and i < k:
                 rows.append(((i, 1), (j, 1), (k, 1)) if j < k else ((i, 1), (k, 1), (j, 1)))
         return tuple(rows)
-
-    def _on_sigma_quotient(self, row: Iterable[tuple[int, int]]) -> dict[int, int]:
-        """``row`` keyed by tau-orbit graph edges: x_i := -x_j for each sigma pair i < j, 0 if sigma fixes x_i."""
-        sigma = self._sigma
-        out: dict[int, int] = {}
-        for k, c in row:
-            j = sigma[k]
-            if j > k:
-                out[j] = out.get(j, 0) - c
-            elif j < k:
-                out[k] = out.get(k, 0) + c
-        return out
 
     @property
     def rank_q(self) -> int:
@@ -388,8 +356,8 @@ def _inverses(p: int, q: int) -> list[int]:
     return inv
 
 
-def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
-    """The local space at q = p^e, with its sigma and tau permutations of the local columns.
+def _local_space(p: int, q: int) -> tuple[list[int], list[int]]:
+    """The sigma and tau permutations of the psi(q) local columns at q = p^e.
 
     (u, v).sigma = (v, -u) and (u, v).tau = (v, -u - v) both have first
     coordinate v, so each class's two translates are scaled by one inverse:
@@ -420,7 +388,7 @@ def _local_space(p: int, q: int) -> tuple[_Factor, list[int], list[int]]:
         sigma += [col[x + 1] for x in xs]
         tau += [col[x] for x in xs]
         g *= p
-    return _Factor(p, q, n), sigma, tau
+    return sigma, tau
 
 
 def _check_level(N: int) -> int:
@@ -443,14 +411,15 @@ def build_space(N: int) -> SymbolSpace:
     factors = []
     sigma, tau = [0], [0]  # the one class of P^1(Z/1Z)
     for p, e in factorize(N):
-        factor, local_sigma, local_tau = _local_space(p, p**e)
+        q = p**e
+        local_sigma, local_tau = _local_space(p, q)
+        n = len(local_sigma)
         if factors:  # column k * n + b for the class of column k so far and local column b
-            n = factor.n
             sigma = [a + b for a in (a * n for a in sigma) for b in local_sigma]
             tau = [a + b for a in (a * n for a in tau) for b in local_tau]
         else:  # taken as they are: a copy adds about 60 MB to the peak RSS at a prime near MAX_PSI
             sigma, tau = local_sigma, local_tau
-        factors.append(factor)
+        factors.append((p, q, n))
     assert len(sigma) == psi
     return SymbolSpace(N, tuple(factors), sigma, tau)
 
@@ -496,10 +465,16 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
     columns = range(space.psi)
     rows = []
     for vec in vectors:
-        for k in vec:
+        row: dict[int, int] = {}  # vec keyed by edges of G: x_i := -x_j for each sigma pair i < j, 0 if sigma fixes x_i
+        for k, c in vec.items():
             if k not in columns:
                 raise ValueError(f"column {k!r} is not a generator at level {space.N}")
-        rows.append(space._on_sigma_quotient(vec.items()))
+            j = sigma[k]
+            if j > k:
+                row[j] = row.get(j, 0) - c
+            elif j < k:
+                row[k] = row.get(k, 0) + c
+        rows.append(row)
     support = {e for row in rows for e in row}  # S, edges named by their larger column
     on_support = bytearray(len(sigma))  # 1 at both columns of each edge of S
     for e in support:

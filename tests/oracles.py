@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from torsion_gate.exactmath import PrimePower, divisors, factorize, field_make, gcd
 from torsion_gate.hecke import merel_matrices
-from torsion_gate.maninspace import ManinSymbol, SymbolSpace
+from torsion_gate.maninspace import SymbolSpace
 from torsion_gate.redux import BRUTE_FORCE_MAX_Q, BruteForceCensus, _check_census_q
 
 
@@ -72,7 +72,7 @@ def _lift_unit(N: int, d: int, a: int) -> int:
     raise AssertionError("unit lift must exist")
 
 
-def p1_normalize(N: int, u: int, v: int) -> ManinSymbol:
+def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
     """Canonical representative of the class [u : v] in P^1(Z/NZ).
 
     Two pairs normalize equal iff they differ by a unit scalar mod N.
@@ -81,20 +81,20 @@ def p1_normalize(N: int, u: int, v: int) -> ManinSymbol:
     if N < 1:
         raise ValueError("level must be positive")
     if N == 1:
-        return ManinSymbol(0, 0)
+        return 0, 0
     u %= N
     v %= N
     if gcd(gcd(u, v), N) != 1:
         raise ValueError(f"({u},{v}) is not a point of P^1(Z/{N}Z)")
     g = gcd(u, N)
     if g == N:  # u = 0: the class of (0,1)
-        return ManinSymbol(0, 1)
+        return 0, 1
     # scale by a unit s with s*u = g (mod N)
     m = N // g
     s = _lift_unit(N, m, pow(u // g, -1, m))
     v0 = s * v % N
     if g == 1:
-        return ManinSymbol(1, v0)
+        return 1, v0
     # the scalars fixing the first coordinate are the units t = 1 (mod N/g);
     # pick the least second coordinate over that stabilizer
     best = v0
@@ -103,7 +103,7 @@ def p1_normalize(N: int, u: int, v: int) -> ManinSymbol:
             w = t * v0 % N
             if w < best:
                 best = w
-    return ManinSymbol(g, best)
+    return g, best
 
 
 def dense_rows(space: SymbolSpace, extra: Iterable[dict[int, int]] = ()) -> list[list[int]]:
@@ -127,7 +127,7 @@ def quotient_rank_q(space: SymbolSpace, vectors: list[dict[int, int]]) -> int:
     return bareiss_rank(dense_rows(space, vectors)) - bareiss_rank(dense_rows(space))
 
 
-def symbol_view(space: SymbolSpace, row: dict[int, int]) -> dict[ManinSymbol, int]:
+def symbol_view(space: SymbolSpace, row: dict[int, int]) -> dict[tuple[int, int], int]:
     """A column row keyed by the symbols its columns stand for."""
     return {space.symbol(col): c for col, c in row.items()}
 
@@ -364,10 +364,10 @@ def inverses_by_pow(p: int, q: int) -> list[int]:
     return [pow(x, -1, q) if x % p else 0 for x in range(q)]
 
 
-def p1_list_by_normalize(N: int) -> tuple[ManinSymbol, ...]:
+def p1_list_by_normalize(N: int) -> tuple[tuple[int, int], ...]:
     """All canonical representatives of P^1(Z/NZ), by normalizing every (g, v), g | N."""
     if N == 1:
-        return (ManinSymbol(0, 0),)
+        return ((0, 0),)
     seen = set()
     for g in divisors(N):
         u = g % N
@@ -387,8 +387,8 @@ def relation_rows_by_normalize(N: int) -> tuple[tuple[tuple[int, int], ...], ...
     gens = p1_list_by_normalize(N)
     index = {s: i for i, s in enumerate(gens)}
 
-    def normalized(sym: ManinSymbol, m) -> int:
-        return index[p1_normalize(N, *right_translate(N, sym.u, sym.v, m))]
+    def normalized(sym: tuple[int, int], m) -> int:
+        return index[p1_normalize(N, *right_translate(N, *sym, m))]
 
     rows = []
     for sym in gens:
@@ -398,7 +398,7 @@ def relation_rows_by_normalize(N: int) -> tuple[tuple[tuple[int, int], ...], ...
         acc[j] = acc.get(j, 0) + 1
         rows.append(tuple(sorted(acc.items())))
 
-        t = p1_normalize(N, *right_translate(N, sym.u, sym.v, TAU))
+        t = p1_normalize(N, *right_translate(N, *sym, TAU))
         if t == sym:
             rows.append(((i, 1),))
             continue
@@ -411,12 +411,12 @@ def relation_rows_by_normalize(N: int) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(rows)
 
 
-def hecke_action_by_normalize(N: int, n: int, x: ManinSymbol) -> dict[ManinSymbol, int]:
+def hecke_action_by_normalize(N: int, n: int, x: tuple[int, int]) -> dict[tuple[int, int], int]:
     """T_n(x) by Merel's translates, each normalized with :func:`p1_normalize`.
 
     A translate with gcd(x', y', N) != 1 is omitted, as in the engine.
     """
-    acc: dict[ManinSymbol, int] = {}
+    acc: dict[tuple[int, int], int] = {}
     u, v = x
     for m in merel_matrices(n):
         pair = right_translate(N, u, v, ((m.a, m.b), (m.c, m.d)))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from torsion_gate import cli, exactmath, gate, hecke, maninspace, redux
-from torsion_gate.maninspace import MAX_PSI, ManinSymbol
+from torsion_gate.maninspace import MAX_PSI
 
 from oracles import hecke_action_by_normalize
 
@@ -264,7 +264,7 @@ def test_hecke_canonical_form_matches_normalize_oracle(capsys, N):
     for n in range(1, 7):
         code, out = run_cli(capsys, "hecke", "--N", str(N), "--n", str(n), "--format", "json")
         assert code == 0
-        want = cli.render_terms(sorted(hecke_action_by_normalize(N, n, ManinSymbol(0, 1)).items()))
+        want = cli.render_terms(sorted(hecke_action_by_normalize(N, n, (0, 1)).items()))
         assert json.loads(out)["expansion"]["canonical"] == want, (N, n)
 
 

@@ -75,6 +75,31 @@ def test_t4_coprimality():
         t4_coprimality(15, 3, 3)  # p divides N
 
 
+def test_t3_implies_t4_at_squarefree_composites():
+    # at N = q_1...q_r, T3 asks q_j not dividing p^2i - 1 for i <= d and T4
+    # the same for i <= d - 1, so a T3 fallback after a failed T4 never passes
+    levels = [N for N in range(6, 2001) if len(fac := factorize(N)) >= 2 and all(e == 1 for _, e in fac)]
+    primes = [p for p in range(3, 98, 2) if is_prime(p)]
+    for N in levels:
+        for p in primes:
+            if N % p:
+                for d in (1, 2, 3):
+                    assert not t3_divisibility(N, p, d).passed or t4_coprimality(N, p, d).passed, (N, p, d)
+
+
+def test_witness_search_runs_one_condition_per_level(cached_gate, monkeypatch):
+    # T4 at the squarefree composites 55, 1001 and 2431, T3 at 169
+    calls = []
+    for name in ("t3_divisibility", "t4_coprimality"):
+        condition = getattr(gate, name)
+        monkeypatch.setattr(gate, name, lambda N, p, d, name=name, condition=condition: calls.append(name) or condition(N, p, d))
+    for N, used in ((55, "t4_coprimality"), (1001, "t4_coprimality"), (2431, "t4_coprimality"), (169, "t3_divisibility")):
+        for d in (1, 2, 3):
+            calls.clear()
+            verify_cyclic_exclusion(N, d)
+            assert calls and set(calls) == {used}, (N, d, calls)
+
+
 def test_gonality_examples():
     assert gonality_exceeds("X0", 169, 3)
     assert not gonality_exceeds("X0", 54, 3)

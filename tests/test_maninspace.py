@@ -9,7 +9,6 @@ from torsion_gate.exactmath import factorize, gcd
 from torsion_gate.hecke import criterion_vectors
 from torsion_gate.maninspace import (
     MAX_PSI,
-    ManinSymbol,
     build_space,
     cusp_count_x0,
     genus_x0,
@@ -54,9 +53,9 @@ EXPECTED_QUOTIENT_RANK = {
 
 
 def test_p1_normalize_examples():
-    assert p1_normalize(169, 0, 2) == ManinSymbol(0, 1)
-    assert p1_normalize(169, 2, 4) == ManinSymbol(1, 2)
-    assert p1_normalize(1, 0, 0) == ManinSymbol(0, 0)
+    assert p1_normalize(169, 0, 2) == (0, 1)
+    assert p1_normalize(169, 2, 4) == (1, 2)
+    assert p1_normalize(1, 0, 0) == (0, 0)
     with pytest.raises(ValueError):
         p1_normalize(2, 0, 0)
     with pytest.raises(ValueError):
@@ -87,7 +86,7 @@ def test_p1_list_lengths():
     assert len(p1_list(13)) == 14
     assert len(p1_list(169)) == 182
     assert len(p1_list(22)) == 36
-    assert p1_list(1) == (ManinSymbol(0, 0),)
+    assert p1_list(1) == ((0, 0),)
 
 
 def test_p1_list_matches_index_formula():
@@ -170,7 +169,7 @@ def test_symbol_rejects_columns_outside_the_space(get_space):
     for k in (-1, space.psi):
         with pytest.raises(IndexError, match="not a generator"):
             space.symbol(k)
-    assert space.symbol(0) == ManinSymbol(0, 1) and get_space(1).symbol(0) == ManinSymbol(0, 0)
+    assert space.symbol(0) == (0, 1) and get_space(1).symbol(0) == (0, 0)
 
 
 def test_p1_list_entries_are_canonical_and_distinct():
@@ -454,7 +453,7 @@ def test_build_space_guards_psi_before_listing(monkeypatch):
     # in ascending order, and later calls read the kept lists
     space = build_space(30)
     assert space.psi == index_x0(30) and listed == []
-    assert space.symbol(0) == ManinSymbol(0, 1) and listed == [2, 3, 5]
+    assert space.symbol(0) == (0, 1) and listed == [2, 3, 5]
     assert space.symbol(space.psi - 1) != space.symbol(0) and listed == [2, 3, 5]
 
 
