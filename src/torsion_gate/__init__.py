@@ -7,8 +7,8 @@ independence criterion on Hecke translates of the winding symbol in the
 Manin presentation of H_1(X_0(N), cusps; Z), and a finite-field reduction
 argument driven by Waterhouse's classification of Frobenius traces.
 
-The package re-exports the ``__all__`` of each engine module; ``cli``
-stays out, so that a bare import does not load argparse.
+The package re-exports the ``__all__`` of each engine module; ``cli``,
+the command-line front end, stays out.
 """
 
 from . import exactmath, gate, hecke, maninspace, redux

@@ -6,16 +6,20 @@ inconclusive (or a census mismatches), 1 on usage or guard errors.
 JSON reports are canonical: sorted keys, compact separators, no floats;
 evidence witnesses are decimal strings.  Re-serializing a parsed report
 with the same settings reproduces it byte for byte.
+
+One option table, :data:`COMMANDS`, parses argv and prints each usage line
+and ``--help``.  Options are exact flags, ``--flag value`` or ``--flag=value``
+in any order; the last of a repeated flag wins.  A usage error prints the
+usage line and argparse's ``PROG: error: MSG`` on stderr and exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .exactmath import PrimePower, factorize
 from .gate import ConditionEvidence, verify_cyclic_exclusion
@@ -30,6 +34,7 @@ __all__ = ["CASE_LEVELS", "canonical_json", "main"]
 CASE_LEVELS = (169, 49, 25, 143, 91, 77, 55, 40, 22)
 
 SCHEMA_VERSION = "1"
+PROG = "torsion-gate"
 
 
 def canonical_json(doc) -> str:
@@ -53,54 +58,6 @@ def _emit(args, outcome: str, evidence: list[ConditionEvidence], lines: list[str
     else:
         print("\n".join(lines))
     sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    """The one parser of this process, built at its first call.
-
-    Tests and the benchmark call :func:`main` many times in one process,
-    and building the parser takes about 0.9 ms, twice a whole in-process
-    ``census --q 27`` (2-core Xeon VM, CPython 3.11.7).  Reuse is safe:
-    ``parse_args`` returns a fresh namespace, no action has a mutable
-    default, and errors and help look up ``sys.stderr`` and ``sys.stdout``
-    when they print.
-    """
-    parser = _Parser(prog="torsion-gate", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("verify", parents=[common], help="decide one (N, d) exclusion")
-    p.add_argument("--N", type=int, required=True, help="torsion order to exclude")
-    p.add_argument("--d", type=int, default=3, help="field degree (default 3)")
-    p.add_argument("--p-max", type=int, default=97, help="largest witness prime to try")
-
-    p = sub.add_parser("homology", parents=[common], help="symbol-space dimensions at level N")
-    p.add_argument("--N", type=int, required=True)
-
-    p = sub.add_parser("hecke", parents=[common], help="T_n applied to the winding symbol (0,1)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="Hecke index (1..30)")
-
-    p = sub.add_parser("census", parents=[common], help="Waterhouse vs brute-force trace census over F_q")
-    p.add_argument("--q", type=int, required=True, help="odd prime power, at most 343")
-    p.add_argument("--N", type=int, default=None, help="also list admissible orders divisible by N")
-
-    p = sub.add_parser("reproduce", parents=[common], help="re-run all nine exclusions")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--p-max", type=int, default=97)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +230,107 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# The option table: each command's handler, help line and options, flag ->
+# (default, help line).  A default of ... makes the option required.  Every
+# value but --format's is read with int().
+FORMATS = ("text", "json")
+_FORMAT = {"--format": ("text", "output format")}
+_DEGREE = {"--d": (3, "field degree"), "--p-max": (97, "largest witness prime to try")}
+COMMANDS = {
+    "verify": (cmd_verify, "decide one (N, d) exclusion", {
+        **_FORMAT, "--N": (..., "torsion order to exclude"), **_DEGREE,
+    }),
+    "homology": (cmd_homology, "symbol-space dimensions at level N", {**_FORMAT, "--N": (..., "level")}),
+    "hecke": (cmd_hecke, "T_n applied to the winding symbol (0,1)", {
+        **_FORMAT, "--N": (..., "level"), "--n": (..., "Hecke index (1..30)"),
+    }),
+    "census": (cmd_census, "Waterhouse vs brute-force trace census over F_q", {
+        **_FORMAT, "--q": (..., "odd prime power, at most 343"),
+        "--N": (None, "also list admissible orders divisible by N"),
+    }),
+    "reproduce": (cmd_reproduce, "re-run all nine exclusions", {**_FORMAT, **_DEGREE}),
+}
+
+
+class _Parser:
+    """Parses argv by :data:`COMMANDS`, and prints usage lines and help from it (see the module docstring)."""
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        command, *rest = (sys.argv[1:] if argv is None else list(argv)) or [None]
+        if command in ("-h", "--help"):
+            self.help()
+        if command not in COMMANDS:
+            choices = ", ".join(map(repr, COMMANDS))
+            self.error("the following arguments are required: command" if command is None
+                       else f"argument command: invalid choice: {command!r} (choose from {choices})")
+        options, values, extras = COMMANDS[command][2], {}, []
+        tokens = iter(rest)
+        for token in tokens:
+            if token in ("-h", "--help"):
+                self.help(command)
+            flag, eq, value = token.partition("=")
+            if flag not in options:
+                extras.append(token)
+                continue
+            if not eq:  # the value is the next token, unless that reads as a flag
+                value = next(tokens, None)
+                if value is None or value.startswith("-") and not value[1:].isdecimal():
+                    self.error(f"argument {flag}: expected one argument", command)
+            if flag == "--format" and value not in FORMATS:
+                self.error(f"argument --format: invalid choice: {value!r} (choose from 'text', 'json')", command)
+            try:
+                values[flag] = value if flag == "--format" else int(value)
+            except ValueError:
+                self.error(f"argument {flag}: invalid int value: {value!r}", command)
+        missing = [flag for flag, (default, _) in options.items() if default is ... and flag not in values]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}", command)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        dests = {flag[2:].replace("-", "_"): values.get(flag, default) for flag, (default, _) in options.items()}
+        return SimpleNamespace(command=command, **dests)
+
+    def usage(self, command: str | None = None) -> str:
+        if command is None:
+            return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
+        parts = [_spec(f) if d is ... else f"[{_spec(f)}]" for f, (d, _) in COMMANDS[command][2].items()]
+        return " ".join([f"usage: {PROG} {command} [-h]", *parts])
+
+    def error(self, message: str, command: str | None = None):
+        prog = PROG if command is None else f"{PROG} {command}"
+        print(self.usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        raise SystemExit(1)
+
+    def help(self, command: str | None = None):
+        if command is None:
+            title, rows = __doc__.splitlines()[0], {name: text for name, (_, text, _) in COMMANDS.items()}
+        else:
+            _, title, opts = COMMANDS[command]
+            rows = {_spec(f): text if d in (..., None) else f"{text} (default {d})" for f, (d, text) in opts.items()}
+        width = max(map(len, rows)) + 2
+        print(self.usage(command), "", title, "", *(f"  {k:<{width}}{v}" for k, v in rows.items()), sep="\n")
+        raise SystemExit(0)
+
+
+def _spec(flag: str) -> str:
+    """The flag and its metavar, as argparse names them: ``--format {text,json}``, ``--p-max P_MAX``."""
+    return f"{flag} {{{','.join(FORMATS)}}}" if flag == "--format" else f"{flag} {flag[2:].replace('-', '_').upper()}"
+
+
+def build_parser() -> _Parser:
+    """The argument parser, which reads the option table :data:`COMMANDS`; it holds no state."""
+    return _Parser()
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = {
-        "verify": cmd_verify,
-        "homology": cmd_homology,
-        "hecke": cmd_hecke,
-        "census": cmd_census,
-        "reproduce": cmd_reproduce,
-    }[args.command]
     try:
-        return handler(args)
+        return COMMANDS[args.command][0](args)
     except ValueError as exc:  # usage and domain errors (--n out of range, N < 1, p_max < 3, ...)
-        print(f"torsion-gate {args.command}: error: {exc}", file=sys.stderr)
+        print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader went away; point stdout at devnull so that the flush

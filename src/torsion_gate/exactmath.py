@@ -17,8 +17,8 @@ that walk is one lookup in the addition table.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, isqrt  # noqa: F401  re-exported: isqrt is exact for ints
-from typing import NamedTuple
 
 __all__ = [
     "PrimePower",
@@ -88,12 +88,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-class _PrimePowerFields(NamedTuple):
-    p: int
-    n: int
-
-
-class PrimePower(_PrimePowerFields):
+class PrimePower(namedtuple("PrimePower", "p n")):
     """q = p^n with p prime (checked) and n >= 1."""
 
     __slots__ = ()

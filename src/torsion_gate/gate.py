@@ -23,7 +23,8 @@ torsion occurs.
 from __future__ import annotations
 
 import time
-from typing import Iterator, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 
 from .exactmath import factorize, gcd, is_prime
 from .hecke import criterion_vectors
@@ -41,13 +42,14 @@ __all__ = [
 ]
 
 
-class ConditionEvidence(NamedTuple):
-    """One checked condition with the exact integers behind the verdict."""
+class ConditionEvidence(namedtuple("ConditionEvidence", "name passed witnesses detail", defaults=((), ""))):
+    """One checked condition with the exact integers behind the verdict.
 
-    name: str
-    passed: bool
-    witnesses: tuple[tuple[str, int], ...] = ()
-    detail: str = ""
+    ``name: str``, ``passed: bool``, ``witnesses: tuple[tuple[str, int], ...]``
+    (default empty) and ``detail: str`` (default empty).
+    """
+
+    __slots__ = ()
 
 
 def _ev(name: str, passed: bool, detail: str = "", **witnesses: int) -> ConditionEvidence:
@@ -240,15 +242,15 @@ def t4_coprimality(N: int, p: int, d: int) -> ConditionEvidence:
 # ---------------------------------------------------------------------------
 
 
-class GateReport(NamedTuple):
-    """Structured verdict for one (N, d) pair with its full evidence chain."""
+class GateReport(namedtuple("GateReport", "N d outcome witness_prime evidence elapsed_ms")):
+    """Structured verdict for one (N, d) pair with its full evidence chain.
 
-    N: int
-    d: int
-    outcome: str  # excluded-T3 | excluded-T4 | excluded-methodA | inconclusive
-    witness_prime: int | None
-    evidence: list[ConditionEvidence]
-    elapsed_ms: int
+    ``N: int``, ``d: int``, ``outcome: str`` (excluded-T3 | excluded-T4 |
+    excluded-methodA | inconclusive), ``witness_prime: int | None``,
+    ``evidence: list[ConditionEvidence]`` and ``elapsed_ms: int``.
+    """
+
+    __slots__ = ()
 
     @property
     def excluded(self) -> bool:

@@ -22,9 +22,8 @@ p of these rows is engine code; their rank over Q is test-only.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .exactmath import gcd
 from .maninspace import SymbolSpace
@@ -39,11 +38,8 @@ __all__ = [
 ]
 
 
-class MerelMatrix(NamedTuple):
-    a: int
-    b: int
-    c: int
-    d: int
+class MerelMatrix(namedtuple("MerelMatrix", "a b c d")):
+    __slots__ = ()
 
     @property
     def det(self) -> int:

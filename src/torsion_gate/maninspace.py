@@ -77,8 +77,8 @@ The relation rows are derived from sigma and tau on request.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from itertools import islice, repeat
-from typing import Iterable, Mapping
 
 from .exactmath import _check_odd_prime, divisors, euler_phi, factorize, gcd
 

@@ -25,9 +25,8 @@ q integers gives a slice's point counts for every c at once.
 from __future__ import annotations
 
 import struct
-from collections import Counter
+from collections import Counter, namedtuple
 from operator import getitem, itemgetter
-from typing import NamedTuple
 
 from .exactmath import PrimePower, _check_odd_prime, field_make, gcd, is_prime, isqrt
 from .gate import ConditionEvidence, _ev, _gonality_evidence
@@ -49,13 +48,13 @@ BRUTE_FORCE_MAX_Q = 343
 assert 2 * BRUTE_FORCE_MAX_Q < 1 << 16, "packed census digits would carry"
 
 
-class TraceCensus(NamedTuple):
-    """Hasse interval and Waterhouse-admissible traces over F_q."""
+class TraceCensus(namedtuple("TraceCensus", "q hasse_lo hasse_hi traces")):
+    """Hasse interval and Waterhouse-admissible traces over F_q.
 
-    q: PrimePower
-    hasse_lo: int
-    hasse_hi: int
-    traces: frozenset[int]
+    ``q: PrimePower``, ``hasse_lo: int``, ``hasse_hi: int`` and ``traces: frozenset[int]``.
+    """
+
+    __slots__ = ()
 
     @property
     def orders(self) -> frozenset[int]:
@@ -138,11 +137,13 @@ def _check_census_q(q: int) -> None:
         raise ValueError(f"q must be an odd prime power <= {BRUTE_FORCE_MAX_Q}")
 
 
-class BruteForceCensus(NamedTuple):
-    """Observed traces over F_q, each with its curve count (always positive)."""
+class BruteForceCensus(namedtuple("BruteForceCensus", "q trace_counts")):
+    """Observed traces over F_q, each with its curve count (always positive).
 
-    q: int
-    trace_counts: dict[int, int]
+    ``q: int`` and ``trace_counts: dict[int, int]``.
+    """
+
+    __slots__ = ()
 
     @property
     def trace_set(self) -> frozenset[int]:

@@ -31,14 +31,17 @@ rows: the rank over Q of extra rows in the quotient
 (:func:`quotient_rank_q`, by Bareiss; the engine needs that rank only
 mod p), the symbol view of a row and linear combinations of rows, and
 the genus of X_1(N) (:func:`genus_x1`), which the gonality tables' labels
-are checked against.
+are checked against, and the argparse parser the CLI's option table
+replaced (:func:`argparse_parser`), which its parses are checked against.
 They share no elimination, enumeration or classification code with
 :mod:`torsion_gate.maninspace` and no scan code with
 :mod:`torsion_gate.redux`."""
 
 from __future__ import annotations
 
+import argparse
 import struct
+import sys
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -774,3 +777,42 @@ def genus_x1(N: int) -> int:
     g = 1 + area - Fraction(sum(phi(e) * phi(N // e) for e in divisors(N)), 4)
     assert g.denominator == 1, (N, g)
     return int(g)
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    """argparse variant that exits 1 (not 2) on usage errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser as argparse built it, with the same dests, defaults and exit codes."""
+    parser = _ArgparseParser(prog="torsion-gate")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgparseParser)
+
+    p = sub.add_parser("verify", parents=[common])
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--p-max", type=int, default=97)
+
+    p = sub.add_parser("homology", parents=[common])
+    p.add_argument("--N", type=int, required=True)
+
+    p = sub.add_parser("hecke", parents=[common])
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+
+    p = sub.add_parser("census", parents=[common])
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--N", type=int, default=None)
+
+    p = sub.add_parser("reproduce", parents=[common])
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--p-max", type=int, default=97)
+
+    return parser

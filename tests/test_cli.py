@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from torsion_gate import cli, exactmath, gate, hecke, maninspace, redux
 from torsion_gate.maninspace import MAX_PSI
 
-from oracles import hecke_action_by_normalize
+from oracles import argparse_parser, hecke_action_by_normalize
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -176,13 +177,13 @@ def _parse(parser, argv, capsys):
 
 
 def test_shared_parser_parses_like_a_fresh_one(capsys):
-    # the parser built anew for every call is the oracle for the one-per-process parser
-    assert cli.build_parser() is cli.build_parser()
+    # one parser serves every call: used for the whole sequence, it parses each argv as a fresh one does
+    shared = cli.build_parser()
     for argv in PARSER_SEQUENCE:
-        assert _parse(cli.build_parser(), argv, capsys) == _parse(cli.build_parser.__wrapped__(), argv, capsys), argv
-    first = cli.build_parser().parse_args(["census", "--q", "25", "--N", "5"])
+        assert _parse(shared, argv, capsys) == _parse(cli.build_parser(), argv, capsys), argv
+    first = shared.parse_args(["census", "--q", "25", "--N", "5"])
     first.N = 7
-    assert cli.build_parser().parse_args(["census", "--q", "25"]).N is None
+    assert shared.parse_args(["census", "--q", "25"]).N is None
 
 
 def test_main_does_not_depend_on_earlier_calls(capsys, monkeypatch):
@@ -193,10 +194,90 @@ def test_main_does_not_depend_on_earlier_calls(capsys, monkeypatch):
 
     expected = outputs(PARSER_SEQUENCE)
     assert outputs(reversed(PARSER_SEQUENCE)) == expected
-    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-    assert outputs(PARSER_SEQUENCE) == expected
     assert expected[("--help",)][0] == 0 and expected[("--help",)][1].out.startswith("usage: torsion-gate")
     assert expected[("nonsense",)][0] == 1 and "invalid choice: 'nonsense'" in expected[("nonsense",)][1].err
+
+
+def test_parser_agrees_with_the_argparse_oracle(capsys):
+    # where both parse, the namespaces are equal; otherwise both exit with the same code
+    cases = PARSER_SEQUENCE + (
+        ("verify", "--N", "--d", "3"),
+        ("verify", "--N", "-5"),
+        ("verify", "--N=91"),
+        ("verify", "--N", "91", "--format=json"),
+        ("verify", "--N", "91", "--N", "92"),
+        ("verify", "--N", "91", "extra"),
+        ("census", "--q", "9", "--workers", "2"),
+        (),
+    )
+    for argv in cases:
+        (parsed, _), (want, _) = _parse(cli.build_parser(), argv, capsys), _parse(argparse_parser(), argv, capsys)
+        if isinstance(want, argparse.Namespace):
+            assert vars(parsed) == vars(want), argv
+        else:
+            assert parsed == want, argv
+
+
+VERIFY_USAGE = "usage: torsion-gate verify [-h] [--format {text,json}] --N N [--d D] [--p-max P_MAX]\n"
+TOP_USAGE = "usage: torsion-gate [-h] {verify,homology,hecke,census,reproduce} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    (
+        ([], TOP_USAGE + "torsion-gate: error: the following arguments are required: command\n"),
+        (
+            ["nonsense"],
+            TOP_USAGE + "torsion-gate: error: argument command: invalid choice: 'nonsense' "
+            "(choose from 'verify', 'homology', 'hecke', 'census', 'reproduce')\n",
+        ),
+        (["verify"], VERIFY_USAGE + "torsion-gate verify: error: the following arguments are required: --N\n"),
+        (
+            ["hecke"],
+            "usage: torsion-gate hecke [-h] [--format {text,json}] --N N --n N\n"
+            "torsion-gate hecke: error: the following arguments are required: --N, --n\n",
+        ),
+        (["verify", "--N", "x"], VERIFY_USAGE + "torsion-gate verify: error: argument --N: invalid int value: 'x'\n"),
+        (["verify", "--N", "--d", "3"], VERIFY_USAGE + "torsion-gate verify: error: argument --N: expected one argument\n"),
+        (["verify", "--d", "2", "--N"], VERIFY_USAGE + "torsion-gate verify: error: argument --N: expected one argument\n"),
+        (
+            ["verify", "--N", "91", "--format", "xml"],
+            VERIFY_USAGE + "torsion-gate verify: error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n",
+        ),
+        (
+            ["census", "--q", "9", "--workers", "2"],
+            TOP_USAGE + "torsion-gate: error: unrecognized arguments: --workers 2\n",
+        ),
+        (["verify", "--N", "91", "extra"], TOP_USAGE + "torsion-gate: error: unrecognized arguments: extra\n"),
+        # options are exact names, with no prefix abbreviations
+        (["verify", "--p", "7", "--N", "91"], TOP_USAGE + "torsion-gate: error: unrecognized arguments: --p 7\n"),
+    ),
+)
+def test_usage_errors_print_the_usage_line_and_one_error_line(capsys, argv, err):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_a_5000_digit_level_is_a_usage_error(capsys):
+    # int() refuses it (3.11+), or verify's level guard does (3.10)
+    assert cli.main(["verify", "--N", "9" * 5000]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_a_cli_call_imports_neither_argparse_nor_typing():
+    # a fresh interpreter without site, which on some installs loads typing itself
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from torsion_gate import cli\n"
+        "code = cli.main(['census', '--q', '3'])\n"
+        "print(code, *[m for m in ('argparse', 'gettext', 'locale', 'typing') if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", child, src], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 def test_shared_parser_prints_to_the_streams_of_each_call():

@@ -22,7 +22,7 @@ def test_every_exported_name_resolves(module):
 
 
 def test_package_reexports_each_engine_module():
-    # cli is not re-exported, so that a bare import does not load argparse
+    # cli, the command-line front end, is not re-exported
     names = []
     for m in ENGINE_MODULES[1:]:
         mod = importlib.import_module(f"torsion_gate.{m}")
