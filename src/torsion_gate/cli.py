@@ -4,8 +4,9 @@ Exit codes: 0 when the requested verification succeeds, 2 when it is
 inconclusive (or a census mismatches), 1 on usage or guard errors.
 
 JSON reports are canonical: sorted keys, compact separators, no floats;
-evidence witnesses are decimal strings.  Re-serializing a parsed report
-with the same settings reproduces it byte for byte.
+evidence witnesses are decimal strings.  :func:`canonical_json` writes them
+without the json module; json.dumps with the same settings re-serializes a
+parsed report byte for byte.
 
 One option table, :data:`COMMANDS`, parses argv and prints each usage line
 and ``--help``.  Options are exact flags, ``--flag value`` or ``--flag=value``
@@ -13,9 +14,6 @@ in any order; the last of a repeated flag wins.  A usage error prints the
 usage line and argparse's ``PROG: error: MSG`` on stderr and exits 1.
 """
 
-from __future__ import annotations
-
-import json
 import os
 import sys
 import time
@@ -38,8 +36,44 @@ PROG = "torsion-gate"
 
 
 def canonical_json(doc) -> str:
-    """Deterministic JSON: sorted keys, compact separators, trailing newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"``, byte for byte, for a report.
+
+    Its values are dicts with str keys, lists, tuples, ASCII strings, ints, bools and None.  Another type
+    raises TypeError (a float, a set, a namedtuple, a key that is not a str), and a non-ASCII string ValueError."""
+    return _encode(doc) + "\n"
+
+
+# json.dumps's escapes in ASCII: the quote, the backslash, and the C0 controls and DEL as \u00XX, five in short form
+_ESCAPES = {c: f"\\u{c:04x}" for c in [*range(32), 127]} | {
+    34: '\\"', 92: "\\\\", 8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"}
+
+
+def _plain(s: str) -> bool:  # whether JSON writes s as it is: printable ASCII, no quote or backslash
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
+def _string(s: str) -> str:
+    if not s.isascii():
+        raise ValueError(f"report strings are ASCII: {s!r}")
+    return f'"{s}"' if _plain(s) else f'"{s.translate(_ESCAPES)}"'
+
+
+def _encode(x) -> str:
+    t = type(x)  # not isinstance, to which a bool is an int and a namedtuple a tuple
+    if t is str:
+        return _string(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is dict:
+        keys = sorted(x)
+        if _plain("".join(keys)):  # a TypeError unless every key is a str
+            return "{" + ",".join([f'"{k}":{_encode(x[k])}' for k in keys]) + "}"
+        return "{" + ",".join([f"{_string(k)}:{_encode(x[k])}" for k in keys]) + "}"
+    if t is list or t is tuple:
+        return "[" + ",".join(map(_encode, x)) + "]"
+    if t is bool or x is None:
+        return "true" if x else "false" if x is False else "null"
+    raise TypeError(f"a report holds no value of type {t.__name__}")
 
 
 def _emit(args, outcome: str, evidence: list[ConditionEvidence], lines: list[str], elapsed_ms: int, **extra) -> None:

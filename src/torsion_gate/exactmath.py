@@ -15,8 +15,6 @@ off the walk over the powers of x that found the modulus.  Each step of
 that walk is one lookup in the addition table.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd, isqrt  # noqa: F401  re-exported: isqrt is exact for ints
 
@@ -93,7 +91,7 @@ class PrimePower(namedtuple("PrimePower", "p n")):
 
     __slots__ = ()
 
-    def __new__(cls, p: int, n: int) -> PrimePower:
+    def __new__(cls, p: int, n: int) -> "PrimePower":
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1:

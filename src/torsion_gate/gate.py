@@ -20,8 +20,6 @@ checkable.  An exhausted search is "inconclusive", never a proof that
 torsion occurs.
 """
 
-from __future__ import annotations
-
 import time
 from collections import namedtuple
 from collections.abc import Iterator, Mapping

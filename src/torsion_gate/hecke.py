@@ -20,8 +20,6 @@ independence test, which the gate runs through
 p of these rows is engine code; their rank over Q is test-only.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from functools import lru_cache
 

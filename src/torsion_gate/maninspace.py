@@ -75,8 +75,6 @@ remainder theorem, reading the local symbols from the sorted P^1 lists
 The relation rows are derived from sigma and tau on request.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Mapping
 from itertools import islice, repeat
 

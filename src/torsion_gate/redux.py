@@ -22,8 +22,6 @@ quadratic character chi is packed, q values to an integer, so one sum of
 q integers gives a slice's point counts for every c at once.
 """
 
-from __future__ import annotations
-
 import struct
 from collections import Counter, namedtuple
 from operator import getitem, itemgetter

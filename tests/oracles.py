@@ -31,8 +31,10 @@ rows: the rank over Q of extra rows in the quotient
 (:func:`quotient_rank_q`, by Bareiss; the engine needs that rank only
 mod p), the symbol view of a row and linear combinations of rows, and
 the genus of X_1(N) (:func:`genus_x1`), which the gonality tables' labels
-are checked against, and the argparse parser the CLI's option table
-replaced (:func:`argparse_parser`), which its parses are checked against.
+are checked against, the argparse parser the CLI's option table
+replaced (:func:`argparse_parser`), which its parses are checked against,
+and the json.dumps call the CLI's own JSON encoder replaced
+(:func:`canonical_json_by_json`), which its reports are checked against.
 They share no elimination, enumeration or classification code with
 :mod:`torsion_gate.maninspace` and no scan code with
 :mod:`torsion_gate.redux`."""
@@ -40,6 +42,7 @@ They share no elimination, enumeration or classification code with
 from __future__ import annotations
 
 import argparse
+import json
 import struct
 import sys
 from collections import Counter
@@ -816,3 +819,8 @@ def argparse_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=int, default=97)
 
     return parser
+
+
+def canonical_json_by_json(doc) -> str:
+    """The canonical JSON of a report as json.dumps writes it: sorted keys, compact separators, trailing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,16 +16,12 @@ import pytest
 from torsion_gate import cli, exactmath, gate, hecke, maninspace, redux
 from torsion_gate.maninspace import MAX_PSI
 
-from oracles import argparse_parser, hecke_action_by_normalize
+from oracles import argparse_parser, canonical_json_by_json, hecke_action_by_normalize
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
-
-
-def canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_verify_excluded(capsys):
@@ -266,18 +263,91 @@ def test_a_5000_digit_level_is_a_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_a_cli_call_imports_neither_argparse_nor_typing():
-    # a fresh interpreter without site, which on some installs loads typing itself
+COLD_JSON_CALLS = (
+    ["verify", "--N", "169"],
+    ["reproduce"],
+    ["homology", "--N", "169"],
+    ["hecke", "--N", "169", "--n", "5"],
+    ["census", "--q", "27", "--N", "25"],
+)
+
+
+def test_cold_cli_calls_import_neither_argparse_nor_typing_nor_json():
+    # a fresh interpreter without site, which on some installs loads typing, re and enum itself
     child = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "from torsion_gate import cli\n"
-        "code = cli.main(['census', '--q', '3'])\n"
-        "print(code, *[m for m in ('argparse', 'gettext', 'locale', 'typing') if m in sys.modules])\n"
+        f"codes = [cli.main(['census', '--q', '3'])] + [cli.main(a + ['--format', 'json']) for a in {COLD_JSON_CALLS}]\n"
+        "modules = ('argparse', 'gettext', 'locale', 'typing', 'json', 're', 'enum')\n"
+        "print(*codes, *[m for m in modules if m in sys.modules])\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", child, src], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-1] == "0"
+    lines = proc.stdout.splitlines(keepends=True)
+    assert lines[-1] == "0" + " 0" * len(COLD_JSON_CALLS) + "\n"
+    reports = lines[-1 - len(COLD_JSON_CALLS):-1]
+    assert [json.loads(r)["command"] for r in reports] == [a[0] for a in COLD_JSON_CALLS]
+    assert all(canonical_json_by_json(json.loads(r)) == r for r in reports)
+
+
+def _random_string(rng: random.Random) -> str:
+    alphabet = rng.choice((range(128), range(32, 127), range(97, 123)))  # any ASCII, printable, plain
+    return "".join(map(chr, rng.choices(alphabet, k=rng.randrange(8))))
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(9 if depth < 3 else 6)
+    if kind < 2:
+        return rng.randint(-10**20, 10**20)
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind < 6:
+        return _random_string(rng)
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return {_random_string(rng): v for v in items}
+    return items if kind == 7 else tuple(items)
+
+
+def test_canonical_json_writes_what_the_json_oracle_writes():
+    rng = random.Random(31)
+    for _ in range(20000):
+        doc = _random_value(rng)
+        assert cli.canonical_json(doc) == canonical_json_by_json(doc), doc
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        ("\x7f", r'"\u007f"'),
+        ('"', r'"\""'),
+        ("\\", r'"\\"'),
+        ("\t", r'"\t"'),
+        ("\x00", r'"\u0000"'),
+        (-123456789012345678901234567890, "-123456789012345678901234567890"),
+        ({"b": [1, (True, None)], "a": {}}, '{"a":{},"b":[1,[true,null]]}'),
+    ],
+)
+def test_canonical_json_pins(value, want):
+    assert cli.canonical_json(value) == want + "\n"
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (1.5, TypeError),
+        ({1}, TypeError),
+        ({1: 2}, TypeError),  # json.dumps would write the key as "1"
+        (gate.ConditionEvidence("name", True), TypeError),  # json.dumps would write a list
+        ({"a": 1, 2: 3}, TypeError),
+        ("\u00e9", ValueError),
+        ({"\u00e9": 1}, ValueError),
+    ],
+)
+def test_canonical_json_rejects_what_no_report_holds(value, error):
+    with pytest.raises(error):
+        cli.canonical_json(value)
 
 
 def test_shared_parser_prints_to_the_streams_of_each_call():
@@ -295,7 +365,7 @@ def test_verify_json_roundtrip(capsys):
     code, out = run_cli(capsys, "verify", "--N", "91", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert canonical(doc) == out
+    assert canonical_json_by_json(doc) == out
     assert doc["version"] == "1"
     assert doc["command"] == "verify"
     assert doc["outcome"] == "excluded-T4"
@@ -319,7 +389,7 @@ def test_homology_json(capsys):
     code, out = run_cli(capsys, "homology", "--N", "49", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert canonical(doc) == out
+    assert canonical_json_by_json(doc) == out
     witnesses = doc["evidence"][0]["witnesses"]
     assert witnesses["psi"] == "56"
     assert witnesses["dimension"] == "9"
@@ -392,7 +462,7 @@ def test_census_json(capsys):
     code, out = run_cli(capsys, "census", "--q", "9", "--N", "22", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert canonical(doc) == out
+    assert canonical_json_by_json(doc) == out
     assert doc["outcome"] == "match"
     assert doc["evidence"][1]["witnesses"]["admissible_hits"] == "0"
 
@@ -410,7 +480,7 @@ def test_reproduce_json_and_low_p_max(capsys):
     code, out = run_cli(capsys, "reproduce", "--p-max", "3", "--format", "json")
     assert code == 2
     doc = json.loads(out)
-    assert canonical(doc) == out
+    assert canonical_json_by_json(doc) == out
     assert doc["outcome"] == "incomplete"
     byname = {e["name"]: e for e in doc["evidence"]}
     assert byname["exclude-169"]["passed"] is False

@@ -36,6 +36,8 @@ import pytest
 
 from torsion_gate import cli
 
+from oracles import canonical_json_by_json
+
 GOLDEN = Path(__file__).with_name("golden") / "reports.json"
 TEXT_GOLDEN = GOLDEN.with_name("text_reports.json")
 
@@ -85,16 +87,12 @@ TEXT_CALLS = (
 MS_FIELDS = re.compile(r"\[\d+ ms\]$|(?<=^  [ \d]{4}  )(\S+ +\S+ +)\d+$", re.M)
 
 
-def canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def run(call: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(call.split() + ["--format", "json"])
     doc = json.loads(out.getvalue())
-    assert out.getvalue() == canonical(doc)
+    assert out.getvalue() == canonical_json_by_json(doc)
     del doc["timing"]
     return {"exit": code, "stderr": err.getvalue(), "report": doc}
 
@@ -125,7 +123,7 @@ def test_golden_covers_exactly_the_pinned_calls(golden):
 def test_report_matches_golden(call, golden):
     got, want = run(call), golden[call]
     assert (got["exit"], got["stderr"]) == (want["exit"], want["stderr"])
-    assert canonical(got["report"]) == canonical(want["report"])
+    assert canonical_json_by_json(got["report"]) == canonical_json_by_json(want["report"])
 
 
 def test_text_golden_covers_exactly_the_pinned_calls(text_golden):
