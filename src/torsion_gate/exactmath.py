@@ -8,11 +8,14 @@ are decided by squaring, never by ``float``.
 Finite fields F_{p^n} are realized in a polynomial basis modulo a
 primitive polynomial x^n - r, so that x generates the units; elements are
 packed base-p digit strings, i.e. integer indices in ``range(q)``.  A
-field is its three tables, the tuple ``(add, exp, log)`` that
-``field_make`` returns: the q x q addition table, built digit by digit
-from the addition table of F_p, and the discrete-logarithm tables, read
-off the walk over the powers of x that found the modulus.  Each step of
-that walk is one lookup in the addition table.
+field is its three logarithm tables, the tuple ``(zech, exp, log)`` that
+``field_make`` returns: the powers of x, their discrete logarithms, and
+Zech's logarithms zech[k] = log(1 + x^k), which turn every sum the census
+needs into one lookup.  No q x q table is built.  The walk over the
+powers of x that finds the modulus multiplies by x one digit at a time:
+x (lo + P top) is top r plus lo shifted up one digit, whose lowest digit
+is that of top r and whose upper n - 1 digits are one lookup in the
+addition table of the (n - 1)-digit strings, (q/p)^2 entries.
 """
 
 from collections import namedtuple
@@ -126,46 +129,58 @@ def _add_table(p: int, n: int) -> list[list[int]]:
     return rows
 
 
-def field_make(pp: PrimePower) -> tuple[list[list[int]], list[int], list[int | None]]:
-    """F_q for q = p^n as its tables ``(add, exp, log)``, in a polynomial basis.
+def field_make(pp: PrimePower) -> tuple[list[int | None], list[int], list[int | None]]:
+    """F_q for q = p^n as its tables ``(zech, exp, log)``, in a polynomial basis.
 
     Elements are integer indices 0..q-1: index sum(c_i * p^i) stands for
     the coset c_0 + c_1*x + ... + c_{n-1}*x^{n-1} of F_p[x]/(f), so
-    prime-subfield constants embed as themselves.  ``add[a][b] = a + b``;
-    ``exp[k] = x^k`` for 0 <= k < q - 1, and ``log[exp[k]] = k``, with
-    ``log[0]`` None.  Then a*b = exp[(log a + log b) % (q - 1)] for nonzero
-    a, b.  The modulus f = x^n - r is the first with r in ascending index
-    order modulo which x generates the units (for n = 1, x = r is the
-    least primitive root mod p).  Since x^n = r, f is x^n - exp[n] when
-    q > 2.  Building ``add`` costs O(q^2).  The tables are not to be
+    prime-subfield constants embed as themselves.  ``exp[k] = x^k`` for
+    0 <= k < q - 1, and ``log[exp[k]] = k``, with ``log[0]`` None.  Then
+    a*b = exp[(log a + log b) % (q - 1)] for nonzero a, b.  Zech's
+    logarithm ``zech[k] = log(1 + x^k)`` is None exactly at k = (q - 1)/2,
+    where x^k = -1; so x^i + x^j = x^i (1 + x^(j-i)) has logarithm
+    i + zech[(j - i) % (q - 1)].  Adding 1 changes only the lowest digit,
+    so ``zech`` is one pass over ``exp``.  The modulus f = x^n - r is the
+    first with r in ascending index order modulo which x generates the
+    units (for n = 1, x = r is the least primitive root mod p).  Since
+    x^n = r, f is x^n - exp[n] when q > 2.  The tables are not to be
     modified.
 
     The walk over the powers of x that finds r is at once the proof that
-    f is irreducible and the table ``exp``.  Modulo f, x (lo + P top) =
-    p lo + top r for lo < P = q/p: one lookup in ``add``, given the
-    multiples 0, r, ..., (p-1) r.  A candidate with p | r is skipped,
-    since x then divides f (for n = 1, x = r = 0).  Otherwise x is a unit
-    of the ring F_p[x]/(f), whose powers return to 1 within q - 1 steps;
-    if they reach q - 1 distinct elements first, every nonzero class is a
-    unit, so the ring is a field and x generates its units.
+    f is irreducible and the table ``exp``.  Modulo f, with P = q/p and
+    lo < P, x (lo + P top) = p lo + top r.  The lowest digit of that sum
+    is the lowest digit of top r, and its upper n - 1 digits are lo plus
+    the upper digits of top r: one lookup in ``_add_table(p, n - 1)``,
+    given the multiples 0, r, ..., (p-1) r digit by digit.  At n = 1
+    the walk is the powers of r mod p, and no table is read.  A
+    candidate with p | r is skipped, since x then divides f (for n = 1,
+    x = r = 0).  Otherwise x is a unit of the ring F_p[x]/(f), whose
+    powers return to 1 within q - 1 steps; if they reach q - 1 distinct
+    elements first, every nonzero class is a unit, so the ring is a field
+    and x generates its units.
     """
     p, n, q = pp.p, pp.n, pp.q
     if p == 2 and n > 1:
         raise ValueError("characteristic-2 extensions are not supported")
-    add = _add_table(p, n)
     P = q // p
-    shifted = [add[p * lo] for lo in range(P)]  # shifted[lo][s] = x lo + s
+    add = _add_table(p, n - 1)  # the upper n - 1 digits
     for r in range(1, q):
-        if r % p == 0:
+        r_lo, r_hi = r % p, r // p
+        if r_lo == 0:
             continue
-        times_r = [0]
-        for _ in range(1, p):
-            times_r.append(add[times_r[-1]][r])
+        if n > 1:
+            low = [top * r_lo % p for top in range(p)]  # lowest digit of top r
+            high = [0]  # upper digits of top r
+            for _ in range(1, p):
+                high.append(add[high[-1]][r_hi])
         exp = [1]
         a = 1
         for _ in range(q - 2):
-            top, lo = divmod(a, P)
-            a = shifted[lo][times_r[top]]
+            if n == 1:
+                a = a * r % p
+            else:
+                top, lo = divmod(a, P)
+                a = low[top] + p * add[lo][high[top]]
             if a == 1:
                 break
             exp.append(a)
@@ -173,5 +188,6 @@ def field_make(pp: PrimePower) -> tuple[list[list[int]], list[int], list[int | N
             log: list[int | None] = [None] * q
             for k, u in enumerate(exp):
                 log[u] = k
-            return add, exp, log
+            zech = [log[u + 1 if (u + 1) % p else u + 1 - p] for u in exp]
+            return zech, exp, log
     raise AssertionError("a primitive polynomial of every degree exists")

@@ -32,10 +32,13 @@ delta x lies on S exactly when x is constant on each component C of
 G - S, so the coboundaries on S are spanned by the cuts delta 1_C (0 for
 a component that touches no edge of S).  So ``quotient_rank_mod_p``,
 rank([R; V]) - rank(R), is rank([cuts; V]) - rank(cuts), on rows with at
-most |S| columns: the engine's only elimination.  The components come
-from a breadth-first search over tau orbits in G - S, started at every
-endpoint of S, one group per start, and a union-find merges two groups
-when they meet.  The search stops when one group is left: every edge of S
+most |S| columns: the engine's only elimination.  rank(cuts) needs none:
+the components of G - S joined by the edges of S form a connected graph,
+whose vertex coboundaries are the cuts, so their only relation is their
+sum and their rank is their number less one (0 with no cut).  The
+components come from a breadth-first search over tau orbits in G - S,
+started at every endpoint of S, one group per start, and a union-find
+merges two groups when they meet.  The search stops when one group is left: every edge of S
 then lies inside one component, and there is no cut.  Otherwise its queue
 runs out, and every group is a whole component.  The rank is exact either
 way; that the first case comes soon, near S, is a matter of speed only
@@ -453,7 +456,11 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
     exact by right-exactness of tensoring with F_p, and computed as
     rank([cuts; V]) - rank(cuts) on the edges S that the substituted vectors
     touch, with the cuts of the components of G - S that the search of the
-    module docstring finds: none when one component holds all of S.  Raises
+    module docstring finds: none when one component holds all of S.  The
+    cuts' own rank is max(len(cuts) - 1, 0) over every field: they are the
+    coboundaries of the vertices of the graph whose vertices are the
+    components of G - S and whose edges are S, which is connected since G
+    is, so their only relation is that they sum to zero.  Raises
     ValueError unless p is an odd prime, and for a column outside
     range(psi), which has no edge of its own; a negative one would read
     another column's.
@@ -524,4 +531,4 @@ def quotient_rank_mod_p(space: SymbolSpace, vectors: Iterable[Mapping[int, int]]
         if head != tail:
             cuts.setdefault(head, {})[e] = 1
             cuts.setdefault(tail, {})[e] = -1
-    return _rank_mod_p([*cuts.values(), *rows], p) - _rank_mod_p(cuts.values(), p)
+    return _rank_mod_p([*cuts.values(), *rows], p) - max(len(cuts) - 1, 0)

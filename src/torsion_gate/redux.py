@@ -17,14 +17,16 @@ gcd(4, q - 1) per coset of the fourth powers.  For p = 3: 1 for a = b = 0
 (all singular), (q - 1) / gcd(4, q - 1) per coset of the fourth powers
 on a = 0, and q (q - 1) / 2 per coset of the squares on b = 0.  The
 cosets are powers of the class of x modulo the primitive modulus that
-``exactmath.field_make`` chooses, which generates the units.  The
-quadratic character chi is packed, q values to an integer, so one sum of
-q integers gives a slice's point counts for every c at once.
+``exactmath.field_make`` chooses, which generates the units.  The twist
+by x maps each slice b = x^i to b = x^(i+2), and a = 1 to a = x, with
+every trace negated, so those twin slices are counted through their
+twists.  Every sum is a lookup in Zech's logarithms, and the quadratic
+character is packed into two base rows of 16-bit digits, so two
+big-integer products give a slice's point counts for every c at once.
 """
 
 import struct
 from collections import Counter, namedtuple
-from operator import getitem, itemgetter
 
 from .exactmath import PrimePower, _check_odd_prime, field_make, gcd, is_prime, isqrt
 from .gate import ConditionEvidence, _ev, _gonality_evidence
@@ -39,8 +41,8 @@ __all__ = [
     "method_a_verdict",
 ]
 
-# `census --q 343` takes about 0.05-0.10 s wall, nearly all of it interpreter start and import;
-# the census itself takes about 2 ms (best of 40 calls, 2-core Xeon VM, CPython 3.11.7).
+# `census --q 343` takes about 0.05-0.07 s wall, nearly all of it interpreter start and import;
+# the census itself takes about 0.6 ms (best of 400 calls, 2-core Xeon VM, CPython 3.11.7).
 BRUTE_FORCE_MAX_Q = 343
 # A packed census digit sums q values of 1 + chi, at most 2q, in 16 bits.
 assert 2 * BRUTE_FORCE_MAX_Q < 1 << 16, "packed census digits would carry"
@@ -177,103 +179,112 @@ def brute_force_census(pp: PrimePower) -> BruteForceCensus:
 
     Scaling then maps {b} x F_q onto {u^4 b} x F_q, count for count, so
     a slice needs one b per coset of the fourth powers, with every c.
-    The units are the powers ``exp[i]`` of the class of x modulo the
-    primitive modulus of :func:`field_make` (the field's variable, not
-    the curve's).  With m = q - 1 and e4 = gcd(4, m), the cosets are
-    ``exp[i]`` for i < e4, each of m / e4 units, and b = 0 is its own
-    class.  The curves scanned, each with its weight:
+    The units are the powers x^i of the class of x modulo the primitive
+    modulus of :func:`field_make` (the field's variable, written x^k
+    below, not the curve's).  With m = q - 1 and e4 = gcd(4, m), the
+    cosets are those of x^i for i < e4, each of m / e4 units, and b = 0
+    is its own class.  The slices, each curve with its weight:
 
-        p != 3:  (0, 0, c) q;  (0, exp[i], c) q m / e4 for i < e4.
-        p = 3:   (0, 0, c) 1 (all singular);  (0, exp[i], c) m / e4 for
-                 i < e4;  (exp[i], 0, c) q m / 2 for i < 2, since scaling
+        p != 3:  (0, 0, c) q;  (0, x^i, c) q m / e4 for i < e4.
+        p = 3:   (0, 0, c) 1 (all singular);  (0, x^i, c) m / e4 for
+                 i < e4;  (x^j, 0, c) q m / 2 for j < 2, since scaling
                  sends (a, 0, c) to (u^-2 a, 0, u^-6 c).
 
-    Sums come from the addition table, and no q x q multiplication table
-    is built: x runs in discrete-logarithm order, x = ``exp[k]`` for
-    k < m, with x = 0 apart.  The product row a x is then ``exp`` rotated
-    by log a and read at k, a slice of ``exp * 2``; a x^2 and x^3 are
-    steps of 2 and 3 through ``exp * 3``.  The character is packed into
-    rows: ``packed[w]`` is one integer whose 16-bit digit c is
-    1 + chi(w + c).  They are built once, q/p of them by one gather of q
-    entries each through the addition table and the rest as rotations of
-    their doubled bytes.  A slice (a, b) fixes the values v(x) = x^3 +
-    a x^2 + b x, so the q big-integer additions sum(packed[v(x)]) give,
-    in digit c, q + sum_x chi(c + v(x)), and the trace of curve c is q
-    minus that digit.  A digit is at most 2q <= 686 < 2^16 under the
-    guard q <= 343, so no digit carries into the next.  The slice's
-    digits are tallied at once; the digits of its singular c, where
-    (18ab - 4a^3) c + a^2b^2 - 4b^3 = 27 c^2 (the row 27 c^2 is built
-    once per field), are taken back out, and each remaining trace is
-    added with its weight, so no trace enters with count zero.  A slice
-    whose every curve is singular (a = b = 0 for p = 3) is not summed.
+    Twins.  The twist of y^2 = f(X) by d is d y^2 = f(X); multiplying by
+    d^3 and setting X' = d X, y' = d^2 y gives y'^2 = X'^3 + d a X'^2 +
+    d^2 b X' + d^3 c, and for a non-square d, chi(d) = -1 flips the sign
+    of sum_x chi(f(x)).  With d = x the twist maps (a, b, c) to (x a,
+    x^2 b, x^3 c), c -> x^3 c is a bijection that keeps disc = 0, and
+    the trace t goes to -t.  So when e4 = 4 the slices b = x^2 and x^3
+    are the twists of b = 1 and x, and for p = 3 the slice a = x is the
+    twist of a = 1.  Each slice summed adds its tally once at t and, when
+    it has a twin, once at -t, which counts every curve of the twin
+    slice through its twist.  At most 3 slices are summed.
 
-    No Python function runs per field element: the slice values and the
-    singular c come from C-level maps and one comprehension over the
-    rows, and a slice costs q additions of q-digit integers.  At most 5
-    slices are summed (6 for p = 3), and the packed rows take q^2/p
-    table reads; the addition table of :func:`field_make`, q^2 entries,
-    is the largest single cost at the top of the guard.
+    Zech logarithms.  The curve's variable runs over the units x^k, k < m,
+    in logarithm order, with 0 apart, where v = x^3 + a x^2 + b x is 0.
+    Since x^i + x^j = x^i (1 + x^(j-i)), ``zech[s] = log(1 + x^s)`` gives
+    each value's logarithm by one lookup: on the slice (0, x^i), v(x^k) =
+    x^(k+i) (1 + x^(2k-i)) has logarithm k + i + zech[(2k - i) mod m]; on
+    the slice (x^j, 0), v(x^k) = x^(2k+j) (1 + x^(k-j)) has 2k + j +
+    zech[(k - j) mod m]; on (0, 0) it is 3k.  Where zech is None, v = 0.
+
+    Character rows.  In a row of 16-bit digits indexed by logarithm,
+    digit t of the row of w = x^l holds 1 + chi(w + x^t) = 1 + (-1)^l
+    chi(1 + x^(t-l)).  So every row is one of two base rows, chosen by
+    the parity of l, rotated by l, and the row of w = 0 (digit t holds
+    1 + (-1)^t) and the digit c = 0 (1 + chi(w)) are kept apart.  The
+    sum of a slice's rows over x is then the two base rows times the
+    packed counts of its values of even and of odd logarithm, modulo
+    X^m - 1 in the digit variable X: two big-integer products, whose
+    upper m digits fold onto the lower m.  Digit t of the sum is q +
+    sum_x chi(x^t + v(x)), and the trace of curve c = x^t is q minus
+    that digit.  Every digit of the products, before and after folding,
+    is a sum of nonnegative terms of at most the folded one, 2q <= 686 <
+    2^16 under the guard q <= 343, so no digit carries into the next.
+
+    Singular c, in closed form: for p != 3, disc = -4b^3 - 27c^2 on
+    a = 0, so on (0, x^i) c^2 = -4 x^(3i) / 27, which has the two roots
+    +-x^(s/2) when its logarithm s is even and none otherwise, and on
+    (0, 0) only c = 0 is singular.  For p = 3, disc = a^2b^2 - b^3 -
+    a^3c, so (0, x^i) has no singular c and (x^j, 0) only c = 0.  A
+    slice's digits are tallied at once, its singular digits are taken
+    back out, and each remaining trace is added with its weight, so no
+    trace enters with count zero.
     """
     q = pp.q
     _check_census_q(q)
-    add, exp, log = field_make(pp)
-    m = q - 1
-    exp2 = exp * 2
-    exp3 = exp * 3
+    zech, _, log = field_make(pp)
+    p, m = pp.p, q - 1
+    half = m // 2
+    digit_row = struct.Struct(f"<{m}H")
+    # digit s of base row e holds 1 + (-1)^e chi(1 + x^s), and chi(x^z) = (-1)^z
+    odd = [1 if z is None else 2 * (z & 1) for z in zech]
+    base_odd = int.from_bytes(digit_row.pack(*odd), "little")
+    base_even = int.from_bytes(digit_row.pack(*[2 - d for d in odd]), "little")
+    zero_row = int.from_bytes(b"\x02\x00\x00\x00" * half, "little")  # the row of w = 0
+    even_mask = int.from_bytes(b"\xff\xff\x00\x00" * half, "little")
+    odd_mask = even_mask << 16
+    low = (1 << 16 * m) - 1
+    traces: dict[int, int] = {}
 
-    def mul(a: int, b: int) -> int:
-        return exp[(log[a] + log[b]) % m] if a and b else 0
+    def scan(ks: range, zs: list[int | None], singular: list[int], weight: int, twin: bool) -> None:
+        """Tally the slice on which v(x^k) has logarithm ks[k] + zs[k], and v = 0 where zs[k] is None.
 
-    # packed[w] holds 1 + chi(w + c) in its 16-bit digit c.  With P = q/p, adding P hi
-    # adds hi to the top digit alone, so row lo + P hi is row lo, written twice, from
-    # place P hi.  chi(exp[k]) = (-1)^k.
-    one_chi = (1,) + itemgetter(*log[1:])([2, 0] * (m // 2))
-    P = q // pp.p
-    digit_row = struct.Struct(f"<{q}H")
-    twice = [row + row for row in (digit_row.pack(*itemgetter(*add[lo])(one_chi)) for lo in range(P))]
-    packed = [int.from_bytes(row[2 * P * hi : 2 * (P * hi + q)], "little") for hi in range(pp.p) for row in twice]
-    cubes = exp3[::3]  # x^3 at x = exp[k]
-    # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2,
-    # evaluated in F_q via the prime-subfield constants below.
-    c18 = 18 % pp.p
-    cm4 = -4 % pp.p
-    l27 = log[27 % pp.p]
-    c27_sq = [0] * m if l27 is None else exp3[l27 : l27 + 2 * m : 2]  # 27 c^2 at c = exp[k]
-    traces: Counter = Counter()
-
-    def scan(a: int, b: int, weight: int) -> None:
-        k_lin = add[mul(c18, mul(a, b))][mul(cm4, mul(a, mul(a, a)))]  # 18ab - 4a^3
-        k_const = add[mul(mul(a, a), mul(b, b))][mul(cm4, mul(b, mul(b, b)))]  # a^2b^2 - 4b^3
-        lin = exp2[log[k_lin] : log[k_lin] + m] if k_lin else [0] * m  # k_lin c at c = exp[k]
-        plus_const = add[k_const]
-        singular = [c for c, kc, s in zip(exp, lin, c27_sq) if plus_const[kc] == s]
-        if k_const == 0:
-            singular.append(0)
-        if len(singular) == q:
-            return
-        values = cubes
-        if a:
-            values = map(getitem, map(add.__getitem__, values), exp3[log[a] : log[a] + 2 * m : 2])
-        if b:
-            values = map(getitem, map(add.__getitem__, values), exp2[log[b] : log[b] + m])
-        total = sum(map(packed.__getitem__, values), packed[0])  # packed[0] is x = 0
-        digits = digit_row.unpack(total.to_bytes(2 * q, "little"))  # q + sum over x of chi(c + v(x))
+        ``singular`` lists the logarithms of the singular c, with m for c = 0.
+        """
+        counts = [0] * m  # counts[l]: the x with v(x) = x^l
+        for k, z in zip(ks, zs):
+            if z is not None:
+                counts[(k + z) % m] += 1
+        at_zero = q - sum(counts)  # the x with v(x) = 0, x = 0 among them
+        packed = int.from_bytes(digit_row.pack(*counts), "little")
+        total = base_even * (packed & even_mask) + base_odd * (packed & odd_mask)
+        total = (total & low) + (total >> 16 * m) + at_zero * zero_row
+        digits = digit_row.unpack(total.to_bytes(2 * m, "little")) + (at_zero + 2 * sum(counts[::2]),)
         tally = Counter(digits)
-        for c in singular:
-            tally[digits[c]] -= 1
+        for t in singular:
+            tally[digits[t]] -= 1
         for digit, count in tally.items():
             if count:
-                traces[q - digit] += weight * count
+                traces[q - digit] = traces.get(q - digit, 0) + weight * count
+                if twin:
+                    traces[digit - q] = traces.get(digit - q, 0) + weight * count
 
     e4 = gcd(4, m)
-    a0_weight = q if pp.p != 3 else 1
-    scan(0, 0, a0_weight)
-    for i in range(e4):
-        scan(0, exp[i], a0_weight * m // e4)
-    if pp.p == 3:
+    zech3 = zech * 3  # zech3[m - i + 2k] = zech[(2k - i) mod m]
+    if p != 3:
+        scan(range(0, 3 * m, 3), [0] * m, [m], q, False)  # (0, 0): 3k
+        s27 = (log[-4 % p] - log[27 % p]) % m  # log(-4/27)
+        for i in range(2):  # (0, x^i): k + i + zech[(2k - i) mod m]
+            s = (s27 + 3 * i) % m  # log c^2 at the singular c
+            singular = [s // 2, s // 2 + half] if s % 2 == 0 else []
+            scan(range(i, i + m), zech3[m - i : 3 * m - i : 2], singular, q * m // e4, e4 == 4)
+    else:
         for i in range(2):
-            scan(exp[i], 0, q * m // 2)
-    return BruteForceCensus(q=q, trace_counts=dict(traces))
+            scan(range(i, i + m), zech3[m - i : 3 * m - i : 2], [], m // e4, e4 == 4)
+        scan(range(0, 2 * m, 2), zech, [m], q * m // 2, True)  # (1, 0): 2k + zech[k]
+    return BruteForceCensus(q=q, trace_counts=traces)
 
 
 # ---------------------------------------------------------------------------

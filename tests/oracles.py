@@ -3,29 +3,36 @@
 These were the engine's production paths before the cut search in the
 tau-orbit graph, the orbit enumeration of P^1, the classification of P^1
 by closed-form columns, the recurrence for inverses mod a prime power,
-the census by translation orbits and the census tally by rotated rows
-replaced them: dense fraction-free (Bareiss)
-elimination over Q, dense Gaussian elimination mod p, the heap-driven
-sparse row echelon mod p (:class:`_Echelon`, which takes any relation
-rows, not only those of a tau-orbit graph), the depth-first spanning
-tree of the tau-orbit graph and the rank of column rows from their
-cotree residuals (:func:`quotient_rank_by_cotree`), P^1 normalization by
-Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1 enumeration that
-normalizes every pair (g, v) with g | N, the table of inverses mod a
-prime power by one ``pow`` per unit (:func:`inverses_by_pow`), the
-relation build and the Hecke action that normalize every translate, the
-census that scans every coefficient triple (a, b, c), the census by
-translation orbits alone, the census by orbit slices that steps through
-every x and every c in Python (:func:`brute_force_census_by_slices`), and the finite-field
+the census by translation orbits, the census tally by rotated rows and
+the census on Zech logarithms replaced them: dense fraction-free
+(Bareiss) elimination over Q, dense Gaussian elimination mod p, the
+heap-driven sparse row echelon mod p (:class:`_Echelon`, which takes any
+relation rows, not only those of a tau-orbit graph), the depth-first
+spanning tree of the tau-orbit graph and the rank of column rows from
+their cotree residuals (:func:`quotient_rank_by_cotree`), P^1
+normalization by Stein's Algorithm 8.29 (:func:`p1_normalize`), the P^1
+enumeration that normalizes every pair (g, v) with g | N, the table of
+inverses mod a prime power by one ``pow`` per unit
+(:func:`inverses_by_pow`), the relation build and the Hecke action that
+normalize every translate, the census that scans every coefficient
+triple (a, b, c), the census by translation orbits alone, the census by
+orbit slices that steps through every x and every c in Python
+(:func:`brute_force_census_by_slices`, one slice at a time by
+:func:`slice_traces`), the census that sums packed character rows over
+a q x q addition table and every slice, twins included
+(:func:`brute_force_census_by_add_table`), and the finite-field
 operations (addition, powers, inverses, negation, subtraction and the
 quadratic character by Euler's criterion) that the census no longer
-needs now that it adds and multiplies through tables.  The oracles'
-field is their own record :class:`OracleField`, whose modulus is the
-first primitive x^n - r found by this module's Rabin test and order
-check (:func:`first_primitive_modulus`), and field multiplication is a
-polynomial product reduced mod that modulus.  So no oracle but the slice
-census reads the engine's field or its choice of modulus; that one
-checks the engine's scan on the engine's own tables.
+needs now that it works on logarithm tables.  The oracles' field is
+their own record :class:`OracleField`, whose modulus is the first
+primitive x^n - r found by this module's Rabin test and order check
+(:func:`first_primitive_modulus`), and field multiplication is a
+polynomial product reduced mod that modulus.  So no oracle but the
+slice census and the addition-table census reads the engine's field or
+its choice of modulus; those two check the engine's scan on the engine's
+own ``exp`` and ``log``, with their sums from
+``torsion_gate.exactmath._add_table``, which the field tests check
+against this module's field addition.
 Beside them sit the helpers only tests need, on the engine's column
 rows: the rank over Q of extra rows in the quotient
 (:func:`quotient_rank_q`, by Bareiss; the engine needs that rank only
@@ -49,9 +56,10 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from operator import getitem, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from torsion_gate.exactmath import PrimePower, divisors, factorize, field_make, gcd
+from torsion_gate.exactmath import PrimePower, _add_table, divisors, factorize, field_make, gcd
 from torsion_gate.hecke import merel_matrices
 from torsion_gate.maninspace import SymbolSpace
 from torsion_gate.redux import BRUTE_FORCE_MAX_Q, BruteForceCensus, _check_census_q
@@ -668,19 +676,18 @@ def brute_force_census_by_translation(pp: PrimePower) -> BruteForceCensus:
     return BruteForceCensus(q=q, trace_counts=dict(traces))
 
 
-def brute_force_census_by_slices(pp: PrimePower) -> BruteForceCensus:
-    """The census over the orbit slices, curve by curve.
+def slice_traces(pp: PrimePower, a: int, b: int) -> Counter:
+    """The traces of the nonsingular curves (a, b, c) over F_q, c = 0..q-1, curve by curve.
 
-    The same slices, weights and packed character rows as
-    :func:`torsion_gate.redux.brute_force_census`, on the same field
-    tables, but each x and each c is handled by its own Python step: a
-    product is a call of ``mul``, the discriminant of every c is
-    evaluated, and each nonsingular curve adds its weight to its trace
-    alone.  The scan costs at most 5 q^2 steps (7 q^2 for p = 3).
+    The packed character rows of :func:`brute_force_census_by_add_table`,
+    on the engine's field tables and the addition table ``_add_table(p,
+    n)``, but each x and each c is handled by its own Python step: a
+    product is a call of ``mul`` and the discriminant of every c is
+    evaluated.  The scan costs about 2 q^2 steps.
     """
-    q = pp.q
-    _check_census_q(q)
-    add, exp, log = field_make(pp)
+    p, n, q = pp.p, pp.n, pp.q
+    add = _add_table(p, n)
+    _, exp, log = field_make(pp)
     rng = range(q)
     m = q - 1
 
@@ -691,29 +698,42 @@ def brute_force_census_by_slices(pp: PrimePower) -> BruteForceCensus:
     # adds hi to the top digit alone, so row lo + P hi is row lo, written twice, from
     # place P hi.
     one_chi = [1] + [1 + (-1) ** log[x] for x in range(1, q)]
-    P = q // pp.p
+    P = q // p
     twice = [struct.pack(f"<{2 * q}H", *map(one_chi.__getitem__, add[lo] * 2)) for lo in range(P)]
-    packed = [int.from_bytes(row[2 * P * hi : 2 * (P * hi + q)], "little") for hi in range(pp.p) for row in twice]
-    unpack = struct.Struct(f"<{q}H").unpack
+    packed = [int.from_bytes(row[2 * P * hi : 2 * (P * hi + q)], "little") for hi in range(p) for row in twice]
     sq = [mul(x, x) for x in rng]
     cube = [mul(x, sq[x]) for x in rng]
+    total = sum([packed[add[cube[x]][add[mul(a, sq[x])][mul(b, x)]]] for x in rng])
+    digits = struct.unpack(f"<{q}H", total.to_bytes(2 * q, "little"))  # q + sum over x of chi(c + v(x))
     # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2,
     # evaluated in F_q via the prime-subfield constants below.
-    c18 = 18 % pp.p
-    cm4 = -4 % pp.p
-    cm27 = -27 % pp.p
+    k_lin = add[mul(18 % p, mul(a, b))][mul(-4 % p, cube[a])]  # (18ab - 4a^3)
+    k_const = add[mul(sq[a], sq[b])][mul(-4 % p, cube[b])]  # a^2b^2 - 4b^3
+    traces: Counter = Counter()
+    for c in rng:
+        if add[add[mul(k_lin, c)][k_const]][mul(-27 % p, sq[c])]:
+            traces[q - digits[c]] += 1
+    return traces
+
+
+def brute_force_census_by_slices(pp: PrimePower) -> BruteForceCensus:
+    """The census over the orbit slices, curve by curve: every slice of the classes, twins included.
+
+    The same slices and weights as :func:`torsion_gate.redux.brute_force_census`,
+    each tallied by :func:`slice_traces`, and the twin slices (b = x^2
+    and x^3 when gcd(4, q - 1) = 4, a = x when p = 3) scanned themselves
+    rather than counted through their twists.  The scan costs at most
+    10 q^2 steps (14 q^2 for p = 3).
+    """
+    q = pp.q
+    _check_census_q(q)
+    _, exp, _ = field_make(pp)
+    m = q - 1
     traces: Counter = Counter()
 
     def scan(a: int, b: int, weight: int) -> None:
-        total = sum([packed[add[cube[x]][add[mul(a, sq[x])][mul(b, x)]]] for x in rng])
-        digits = unpack(total.to_bytes(2 * q, "little"))  # q + sum over x of chi(c + v(x))
-        k_lin = add[mul(c18, mul(a, b))][mul(cm4, cube[a])]  # (18ab - 4a^3)
-        k_const = add[mul(sq[a], sq[b])][mul(cm4, cube[b])]  # a^2b^2 - 4b^3
-        for c in rng:
-            disc = add[add[mul(k_lin, c)][k_const]][mul(cm27, sq[c])]
-            if disc == 0:
-                continue
-            traces[q - digits[c]] += weight
+        for t, count in slice_traces(pp, a, b).items():
+            traces[t] += weight * count
 
     e4 = gcd(4, m)
     a0_weight = q if pp.p != 3 else 1
@@ -721,6 +741,83 @@ def brute_force_census_by_slices(pp: PrimePower) -> BruteForceCensus:
     for i in range(e4):
         scan(0, exp[i], a0_weight * m // e4)
     if pp.p == 3:
+        for i in range(2):
+            scan(exp[i], 0, q * m // 2)
+    return BruteForceCensus(q=q, trace_counts=dict(traces))
+
+
+def brute_force_census_by_add_table(pp: PrimePower) -> BruteForceCensus:
+    """The census on an addition table: the engine's scan before Zech logarithms.
+
+    The same slices and weights as :func:`torsion_gate.redux.brute_force_census`,
+    every one of them summed, twins included, on the engine's ``exp`` and
+    ``log`` and the q x q addition table ``_add_table(p, n)``.  x runs in
+    discrete-logarithm order, x = ``exp[k]`` for k < m, with x = 0 apart.
+    The product row a x is then ``exp`` rotated by log a and read at k, a
+    slice of ``exp * 2``; a x^2 and x^3 are steps of 2 and 3 through
+    ``exp * 3``.  ``packed[w]`` is one integer whose 16-bit digit c is
+    1 + chi(w + c), so the q big-integer additions sum(packed[v(x)]) over
+    a slice's values v(x) = x^3 + a x^2 + b x give, in digit c, q +
+    sum_x chi(c + v(x)).  The digits of a slice's singular c, where
+    (18ab - 4a^3) c + a^2b^2 - 4b^3 = 27 c^2, are taken back out of its
+    tally.  At most 5 slices are summed (6 for p = 3).
+    """
+    p, n, q = pp.p, pp.n, pp.q
+    _check_census_q(q)
+    add = _add_table(p, n)
+    _, exp, log = field_make(pp)
+    m = q - 1
+    exp2 = exp * 2
+    exp3 = exp * 3
+
+    def mul(a: int, b: int) -> int:
+        return exp[(log[a] + log[b]) % m] if a and b else 0
+
+    # packed[w] holds 1 + chi(w + c) in its 16-bit digit c.  With P = q/p, adding P hi
+    # adds hi to the top digit alone, so row lo + P hi is row lo, written twice, from
+    # place P hi.  chi(exp[k]) = (-1)^k.
+    one_chi = (1,) + itemgetter(*log[1:])([2, 0] * (m // 2))
+    P = q // p
+    digit_row = struct.Struct(f"<{q}H")
+    twice = [row + row for row in (digit_row.pack(*itemgetter(*add[lo])(one_chi)) for lo in range(P))]
+    packed = [int.from_bytes(row[2 * P * hi : 2 * (P * hi + q)], "little") for hi in range(p) for row in twice]
+    cubes = exp3[::3]  # x^3 at x = exp[k]
+    c18 = 18 % p
+    cm4 = -4 % p
+    l27 = log[27 % p]
+    c27_sq = [0] * m if l27 is None else exp3[l27 : l27 + 2 * m : 2]  # 27 c^2 at c = exp[k]
+    traces: Counter = Counter()
+
+    def scan(a: int, b: int, weight: int) -> None:
+        k_lin = add[mul(c18, mul(a, b))][mul(cm4, mul(a, mul(a, a)))]  # 18ab - 4a^3
+        k_const = add[mul(mul(a, a), mul(b, b))][mul(cm4, mul(b, mul(b, b)))]  # a^2b^2 - 4b^3
+        lin = exp2[log[k_lin] : log[k_lin] + m] if k_lin else [0] * m  # k_lin c at c = exp[k]
+        plus_const = add[k_const]
+        singular = [c for c, kc, s in zip(exp, lin, c27_sq) if plus_const[kc] == s]
+        if k_const == 0:
+            singular.append(0)
+        if len(singular) == q:
+            return
+        values = cubes
+        if a:
+            values = map(getitem, map(add.__getitem__, values), exp3[log[a] : log[a] + 2 * m : 2])
+        if b:
+            values = map(getitem, map(add.__getitem__, values), exp2[log[b] : log[b] + m])
+        total = sum(map(packed.__getitem__, values), packed[0])  # packed[0] is x = 0
+        digits = digit_row.unpack(total.to_bytes(2 * q, "little"))  # q + sum over x of chi(c + v(x))
+        tally = Counter(digits)
+        for c in singular:
+            tally[digits[c]] -= 1
+        for digit, count in tally.items():
+            if count:
+                traces[q - digit] += weight * count
+
+    e4 = gcd(4, m)
+    a0_weight = q if p != 3 else 1
+    scan(0, 0, a0_weight)
+    for i in range(e4):
+        scan(0, exp[i], a0_weight * m // e4)
+    if p == 3:
         for i in range(2):
             scan(exp[i], 0, q * m // 2)
     return BruteForceCensus(q=q, trace_counts=dict(traces))

@@ -8,6 +8,7 @@ import pytest
 
 from torsion_gate.exactmath import (
     PrimePower,
+    _add_table,
     divisors,
     euler_phi,
     factorize,
@@ -158,7 +159,7 @@ def test_add_table_matches_field_add(p, n):
     pp = PrimePower(p, n)
     f = oracle_field(pp)
     q = f.q
-    add, _, _ = field_make(pp)
+    add = _add_table(p, n)
     assert len(add) == q
     for a in range(q):
         assert add[a] == [field_add(f, a, b) for b in range(q)]
@@ -177,6 +178,17 @@ def test_log_tables(p, n):
     assert all(log[a] == k for k, a in enumerate(exp))
     assert all(exp[(k + 1) % m] == field_mul(f, exp[k], x) for k in range(m))
     assert all(1 - 2 * (log[a] % 2) == quadratic_character(f, a) for a in range(1, q))
+
+
+@pytest.mark.parametrize("p,n", ODD_PRIME_POWERS_TO_343)
+def test_zech_logarithms(p, n):
+    # zech[k] is the logarithm of 1 + x^k, and 1 + x^k = 0 only at x^k = -1, k = (q - 1) / 2
+    pp = PrimePower(p, n)
+    f = oracle_field(pp)
+    zech, exp, log = field_make(pp)
+    assert len(zech) == f.q - 1
+    assert all(zech[k] == log[field_add(f, 1, u)] for k, u in enumerate(exp))
+    assert [k for k, z in enumerate(zech) if z is None] == [(f.q - 1) // 2]
 
 
 def test_field_rejects_char2_extension():

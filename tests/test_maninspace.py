@@ -9,6 +9,7 @@ from torsion_gate.exactmath import factorize, gcd
 from torsion_gate.hecke import criterion_vectors
 from torsion_gate.maninspace import (
     MAX_PSI,
+    _rank_mod_p,
     build_space,
     cusp_count_x0,
     genus_x0,
@@ -322,7 +323,7 @@ def orbit_sets(space, rng):
 
 @pytest.fixture
 def ranked(monkeypatch):
-    """The rows of each ``_rank_mod_p`` call, recorded in order: the cuts alone are ranked last."""
+    """The rows of each ``_rank_mod_p`` call, recorded in order: the cut rows lead, the vectors' rows follow."""
     calls = []
     rank = maninspace._rank_mod_p
 
@@ -347,7 +348,9 @@ def test_cuts_of_orbit_sets_die_in_the_quotient(N, get_space, ranked):
         cut = {k: 1 for orbit in U for k in orbit}
         for p in (3, 5, 7):
             assert quotient_rank_mod_p(space, [cut], p) == 0, (U, p)
-            cuts += len(ranked[-1])  # the components' cuts, ranked alone last
+            cut_rows = ranked[-1][:-1]  # the components' cuts, ahead of the one vector
+            assert _rank_mod_p(cut_rows, p) == max(len(cut_rows) - 1, 0), (U, p)
+            cuts += len(cut_rows)
             if N % p:
                 assert quotient_rank_mod_p(space, [*vectors, cut], p) == quotient_rank_mod_p(space, vectors, p), (U, p)
     assert cuts
@@ -359,8 +362,9 @@ def test_criterion_vectors_need_no_cut_above_169(ranked):
     for N in range(170, 2001):
         space = build_space(N)
         for d in (1, 2, 3):
-            quotient_rank_mod_p(space, criterion_vectors(space, d), 3)
-            assert ranked[-1] == [], (N, d)  # the cuts, ranked alone last
+            vectors = criterion_vectors(space, d)
+            quotient_rank_mod_p(space, vectors, 3)
+            assert ranked[-1][: -len(vectors)] == [], (N, d)  # the cut rows, ahead of the vectors'
 
 
 @pytest.mark.parametrize("N", [*range(1, 121), 169, 243, 389, 1001, 2431])
